@@ -35,9 +35,10 @@ from pathlib import Path
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.serve import (DaemonClient, DaemonError,      # noqa: E402
-                         FileWatcher, ServeConfig, VerifyDaemon,
-                         default_state_path, read_state)
+# Only the stdlib client at top level: every command but ``start`` and
+# ``watch`` runs without loading the checker.
+from repro.serve.client import (DaemonClient, DaemonError,  # noqa: E402
+                                default_state_path, read_state)
 
 EXIT_FAIL = 1
 EXIT_DAEMON = 2
@@ -74,13 +75,16 @@ def do_start(args) -> int:
         print(f"rcd: daemon already running at "
               f"{existing.host}:{existing.port} (pid {existing.pid})")
         return 0
-    config = ServeConfig(
-        root=Path(args.root), host=args.host, port=args.port,
-        jobs=args.jobs,
-        ledger_path=Path(args.ledger) if args.ledger else None,
-        state_file=state_path)
     if args.foreground:
+        # The daemon process is the only one that loads the checker.
         import asyncio
+
+        from repro.serve.server import ServeConfig, VerifyDaemon
+        config = ServeConfig(
+            root=Path(args.root), host=args.host, port=args.port,
+            jobs=args.jobs,
+            ledger_path=Path(args.ledger) if args.ledger else None,
+            state_file=state_path)
         daemon = VerifyDaemon(config)
 
         async def _run():
@@ -258,6 +262,7 @@ def _verify_params(args, paths=None) -> dict:
 
 
 def do_watch(args) -> int:
+    from repro.serve.watcher import FileWatcher
     client = _client(args)
     root = Path(args.root or read_state(_state_path(args)).root)
     if args.paths:

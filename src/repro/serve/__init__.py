@@ -16,20 +16,29 @@ cold-start, re-interning, or planner-state re-parsing between requests:
 * :mod:`.watcher` — mtime/sha polling that turns file edits into dirty
   sets for ``rcd watch``;
 * :mod:`.client` — the stdlib HTTP client behind ``scripts/rcd.py``.
+
+Import layering: the client side (:mod:`.client`, :mod:`.protocol`)
+imports only the standard library, and the names below resolve lazily
+(PEP 562), so ``import repro.serve.client`` never loads the checker.
+Only :mod:`.server` does.
 """
 
-from .client import DaemonClient, DaemonError, default_state_path, read_state
-from .protocol import (MAX_BODY_BYTES, PROTOCOL_VERSION, ProtocolError,
-                       Request, encode_event, event, parse_request)
-from .queue import RequestQueue, Ticket
-from .server import Namespace, ServeConfig, VerifyDaemon
-from .watcher import FileWatcher
+from .. import lazy_getattr
 
-__all__ = [
-    "DaemonClient", "DaemonError", "default_state_path", "read_state",
-    "MAX_BODY_BYTES", "PROTOCOL_VERSION", "ProtocolError", "Request",
-    "encode_event", "event", "parse_request",
-    "RequestQueue", "Ticket",
-    "Namespace", "ServeConfig", "VerifyDaemon",
-    "FileWatcher",
-]
+#: public name -> the submodule that defines it
+_LAZY = {
+    "DaemonClient": ".client", "DaemonError": ".client",
+    "default_state_path": ".client", "read_state": ".client",
+    "MAX_BODY_BYTES": ".protocol", "PROTOCOL_VERSION": ".protocol",
+    "ProtocolError": ".protocol", "Request": ".protocol",
+    "encode_event": ".protocol", "event": ".protocol",
+    "parse_request": ".protocol",
+    "RequestQueue": ".queue", "Ticket": ".queue",
+    "Namespace": ".server", "ServeConfig": ".server",
+    "VerifyDaemon": ".server",
+    "FileWatcher": ".watcher",
+}
+
+__all__ = list(_LAZY)
+
+__getattr__ = lazy_getattr(__name__, _LAZY)

@@ -11,14 +11,12 @@ coordination.
 
 from __future__ import annotations
 
-import http.client
 import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional
 
-from .protocol import PROTOCOL_VERSION
-from .server import STATE_FILE_NAME
+from .protocol import PROTOCOL_VERSION, STATE_FILE_NAME
 
 #: generous: a cold verify of every case study plus queueing
 DEFAULT_TIMEOUT_S = 600.0
@@ -82,6 +80,11 @@ class DaemonClient:
         Raises :class:`DaemonError` on connection failure; *error
         events* are yielded like any other so callers that stream can
         render them in place (the convenience wrappers below raise)."""
+        # Imported on first use: the daemon process loads this module
+        # (rcd.py's top level) but never sends a request, and keeping
+        # the HTTP client stack out of it keeps its resident set at the
+        # size of the checker alone.
+        import http.client
         body = json.dumps({"protocol": PROTOCOL_VERSION,
                            "method": method,
                            "params": params or {}})

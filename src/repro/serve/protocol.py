@@ -24,6 +24,10 @@ from dataclasses import dataclass, field
 
 PROTOCOL_VERSION = 1
 
+#: the daemon's state file (its published address), written under the
+#: serve root by the server and read by the client
+STATE_FILE_NAME = ".rc-serve.json"
+
 #: reject request bodies larger than this before reading them fully —
 #: a verify request is a few hundred bytes of stems, never megabytes
 MAX_BODY_BYTES = 1 << 20

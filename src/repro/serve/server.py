@@ -50,15 +50,20 @@ from ..frontend import verify_files
 from ..obs.ledger import ledger_env_path, record_run
 from .protocol import (E_DRAINING, E_HTTP, E_INTERNAL, E_PARAMS,
                        E_TOO_LARGE, MAX_BODY_BYTES, PROTOCOL_VERSION,
-                       ProtocolError, Request, encode_event, event,
-                       parse_request)
+                       STATE_FILE_NAME, ProtocolError, Request,
+                       encode_event, event, parse_request)
 from .queue import RequestQueue, Ticket
 
 #: wall-clock budget for reading one request off a connection
 REQUEST_READ_TIMEOUT_S = 30.0
 
-#: default daemon state-file name, written under the serve root
-STATE_FILE_NAME = ".rc-serve.json"
+#: how long shutdown waits for open connections before cancelling them
+CONN_GRACE_S = 2.0
+
+#: what the warm pool's workers run: the driver's task functions and
+#: the front end they elaborate with (imported inside the task).  The
+#: forkserver imports these once, so a new worker imports nothing.
+WORKER_PRELOAD = ("repro.driver.pool", "repro.lang.elaborate")
 
 _RECHECKED_STATES = ("dirty", "miss", "off")
 
@@ -124,6 +129,7 @@ class VerifyDaemon:
         self._session: Optional[PoolSession] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._worker_task: Optional[asyncio.Task] = None
+        self._conns: set[asyncio.Task] = set()   # live connection handlers
         self._stopped: Optional[asyncio.Event] = None
         self._t0 = time.monotonic()
         self._started_at = time.time()
@@ -157,15 +163,20 @@ class VerifyDaemon:
                                         mp_context=self._pool_context())
         return self._session
 
-    async def start(self) -> tuple[str, int]:
-        if self._pool_context() is not None:
-            # Fork the helper process now, while the only open fds are
-            # inherited std streams — see _pool_context.  Preload the
-            # worker module instead of the default __main__: re-running
-            # the daemon entry script inside the helper is never wanted.
+    @classmethod
+    def start_forkserver(cls) -> None:
+        """Fork the pool's helper process now, while the only open fds
+        are inherited std streams — see :meth:`_pool_context`.  Preload
+        :data:`WORKER_PRELOAD` instead of the default ``__main__``:
+        re-running the daemon entry script inside the helper is never
+        wanted."""
+        if cls._pool_context() is not None:
             from multiprocessing import forkserver
-            multiprocessing.set_forkserver_preload(["repro.driver.pool"])
+            multiprocessing.set_forkserver_preload(list(WORKER_PRELOAD))
             forkserver.ensure_running()
+
+    async def start(self) -> tuple[str, int]:
+        self.start_forkserver()
         self._stopped = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle_conn, host=self.config.host,
@@ -193,6 +204,15 @@ class VerifyDaemon:
     async def _shutdown_now(self) -> None:
         if self._server is not None:
             self._server.close()
+            # Open connections get a bounded grace to finish (a verify
+            # stream's last events, an error reply's drain); stragglers
+            # are cancelled so none outlives the loop.
+            if self._conns:
+                _, late = await asyncio.wait(set(self._conns),
+                                             timeout=CONN_GRACE_S)
+                for task in late:
+                    task.cancel()
+                await asyncio.gather(*late, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         if self._worker_task is not None:
@@ -229,6 +249,8 @@ class VerifyDaemon:
 
     async def _handle_conn(self, reader: asyncio.StreamReader,
                            writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._conns.add(task)
         try:
             try:
                 body = await asyncio.wait_for(
@@ -238,16 +260,14 @@ class VerifyDaemon:
             except ProtocolError as exc:
                 await self._respond(writer, [exc.to_event()],
                                     status=exc.http_status)
-                # Drain whatever the client is still sending (e.g. the
-                # rest of an oversized body) before closing, so it can
-                # read the structured error instead of seeing a reset.
-                await self._discard(reader)
+                await self._finish_error(reader, writer)
                 return
             except (asyncio.IncompleteReadError, asyncio.TimeoutError,
                     ConnectionError):
                 return
             await self._dispatch(request, writer)
         finally:
+            self._conns.discard(task)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -289,9 +309,15 @@ class VerifyDaemon:
         return await reader.readexactly(length)
 
     @staticmethod
-    async def _discard(reader: asyncio.StreamReader,
-                       limit: int = 64 << 20) -> None:
+    async def _finish_error(reader: asyncio.StreamReader,
+                            writer: asyncio.StreamWriter,
+                            limit: int = 64 << 20) -> None:
+        """Half-close, so the EOF ends the body and the client reads
+        the error at once; then drain (bounded) what it still sends, as
+        closing with unread input would reset the connection."""
         try:
+            if writer.can_write_eof():
+                writer.write_eof()
             while limit > 0:
                 chunk = await asyncio.wait_for(
                     reader.read(min(1 << 16, limit)), timeout=5.0)

@@ -5,9 +5,12 @@ background thread — see conftest).  The driver underneath is the real
 one on real case studies; only the pool-crash test injects a failure.
 """
 
+import contextlib
 import http.client
 import json
+import socket
 import threading
+import time
 
 import pytest
 
@@ -31,6 +34,19 @@ def serve_fingerprint(events):
     return sorted(
         (ev["unit"], ev["name"], ev["ok"], ev["counters"])
         for ev in events_of(events, "function"))
+
+
+#: an error reply must reach the client at once, never after one of
+#: the server's 5 s read timeouts
+ERROR_ROUND_TRIP_S = 2.0
+
+
+@contextlib.contextmanager
+def prompt_reply():
+    t0 = time.perf_counter()
+    yield
+    elapsed = time.perf_counter() - t0
+    assert elapsed < ERROR_ROUND_TRIP_S, f"error reply took {elapsed:.2f}s"
 
 
 def raw_post(daemon, body, path="/rpc"):
@@ -161,14 +177,16 @@ class TestNamespaces:
 class TestErrors:
     def test_malformed_json_is_structured(self, daemon):
         d, client = daemon
-        status, lines = raw_post(d, b"{nope")
+        with prompt_reply():
+            status, lines = raw_post(d, b"{nope")
         assert status == 400
         assert lines[0]["code"] == "parse-error"
         assert client.ping()
 
     def test_oversized_body_is_refused_readably(self, daemon):
         d, client = daemon
-        status, lines = raw_post(d, b"x" * (2 << 20))
+        with prompt_reply():
+            status, lines = raw_post(d, b"x" * (2 << 20))
         assert status == 413
         assert lines[0]["code"] == "request-too-large"
         assert client.ping()
@@ -177,13 +195,28 @@ class TestErrors:
         d, client = daemon
         conn = http.client.HTTPConnection(d.host, d.port, timeout=30)
         try:
-            conn.request("GET", "/rpc")
-            resp = conn.getresponse()
+            with prompt_reply():
+                conn.request("GET", "/rpc")
+                resp = conn.getresponse()
+                body = resp.read()
             assert resp.status == 405
-            ev = json.loads(resp.read().splitlines()[0])
+            ev = json.loads(body.splitlines()[0])
             assert ev["code"] == "bad-http"
         finally:
             conn.close()
+        assert client.ping()
+
+    def test_missing_content_length_is_refused(self, daemon):
+        d, client = daemon
+        with socket.create_connection((d.host, d.port), timeout=30) as s:
+            with prompt_reply():
+                s.sendall(b"POST /rpc HTTP/1.1\r\nHost: x\r\n\r\n")
+                reply = b""
+                while chunk := s.recv(1 << 16):
+                    reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 411 ")
+        assert json.loads(body.splitlines()[0])["code"] == "bad-http"
         assert client.ping()
 
     def test_unknown_method_event(self, daemon):
@@ -214,8 +247,10 @@ class TestErrors:
 
     def test_errors_do_not_kill_later_verifies(self, daemon):
         d, client = daemon
-        raw_post(d, b"{nope")
-        raw_post(d, b"x" * (2 << 20))
+        with prompt_reply():
+            raw_post(d, b"{nope")
+        with prompt_reply():
+            raw_post(d, b"x" * (2 << 20))
         with pytest.raises(DaemonError):
             client.verify(paths=["no_such_study"])
         assert done_of(client.verify())["ok"] is True
