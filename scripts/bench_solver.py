@@ -1,45 +1,34 @@
 #!/usr/bin/env python3
-"""Benchmark the pure-solver pipeline: caches off / caches on / compiled.
+"""Benchmark the pure engine on the case-study suite.
 
-Verifies the Figure-7 case-study suite in three configurations —
-``cache_off`` (every pure-stack cache *and* the ``RC_COMPILE`` fast
-paths disabled: the reference semantics), ``cache_on`` (hash-consed
-terms feeding the simplify / linarith / lists / sets / prove memo
-tables, compiler still off: the previous baseline) and ``compiled``
-(caches plus the compiled hot paths: flat rule dispatch, node-stamped
-closures, integer-matrix Fourier–Motzkin) — and
+Verifies the Figure-7 case studies with the pure engine — hash-consed
+terms, memo tables, node-stamped compiled forms, flat rule dispatch,
+integer-row Fourier–Motzkin — and
 
-  1. asserts all three modes are *observationally identical*:
-     per-function outcome, ``Stats.counters()`` and exact error text
-     match byte for byte (caches and compiler may only change speed,
-     never results);
-  2. reports the wall-clock speedups and asserts they meet the
-     thresholds (``--threshold`` for cache_on vs cache_off,
-     ``--compile-threshold`` for compiled vs cache_on; both skipped
-     under ``--quick``);
-  3. writes a ``BENCH_solver.json`` artifact (schema shared with
-     ``bench_driver.py`` — see ``repro.driver.benchio``);
-  4. guards the no-op fast path of ``repro.trace``: with tracing *off*
+  1. records the per-function fingerprint (outcome, ``Stats.counters()``,
+     exact error text) of every study, and asserts that every pass —
+     cold, warm-up and traced — produced the identical fingerprint
+     (``scripts/ci_checks.py bench-artifact`` then compares it with the
+     golden file ``tests/golden/fingerprints.json``);
+  2. times ``--repeat`` cold passes and writes a ``BENCH_solver.json``
+     artifact (schema shared with ``bench_driver.py`` — see
+     ``repro.driver.benchio``);
+  3. guards the no-op fast path of ``repro.trace``: with tracing *off*
      (the default) the checking wall must not regress more than
      ``--max-trace-overhead`` (2%) against the previously recorded
      ``BENCH_solver.json`` — asserted only when that baseline was
      recorded on the same platform, so CI runners skip it — and a
-     tracing-*on* pass is timed for information.  The guard covers both
-     the interpreted (``cache_off``) and the ``RC_COMPILE`` (``compiled``)
-     configuration: the compiled hot path moved the baseline, so its
-     instrumentation sites need their own watchdog;
-  5. guards the observability layer the same way: per traced pass the
+     tracing-*on* pass is timed for information;
+  4. guards the observability layer the same way: per traced pass the
      run-ledger record is built (rule-cost aggregation included,
      ``repro.obs``) against a scratch ledger and its cost is asserted to
      stay under ``--max-trace-overhead`` of the checking wall.
 
-The asserted ratios are measured on the *checking-phase* wall
-(``search_s + solver_s``) — the phase the caches and the compiler
-operate in; parsing and elaboration are identical work in all modes.
-The total process wall is reported alongside.  Every repetition starts
-cold (``clear_pure_caches()``, which also drops the node-stamped
-compiled forms via the intern tables), so the ratios reflect
-within-suite redundancy only, not warm re-runs.
+Timings are the *checking-phase* wall (``search_s + solver_s``) — the
+phase the pure engine runs in — with the total process wall alongside.
+Every repetition starts cold (``clear_pure_caches()``, which also drops
+the node-stamped compiled forms via the intern tables), so the numbers
+reflect within-suite redundancy only, not warm re-runs.
 
 Run:  PYTHONPATH=src python scripts/bench_solver.py [--quick] [--json PATH]
 """
@@ -58,31 +47,23 @@ from repro.driver.benchio import (bench_envelope, sample_stats,  # noqa: E402
                                   write_bench_json)
 from repro.frontend import verify_file                         # noqa: E402
 from repro.obs import costs_of_outcomes, record_run            # noqa: E402
-from repro.pure.compiled import (compile_enabled,              # noqa: E402
-                                 set_compile_enabled)
-from repro.pure.memo import (cache_enabled, clear_pure_caches,  # noqa: E402
-                             set_cache_enabled)
+from repro.pure.memo import clear_pure_caches                  # noqa: E402
 from repro.report import (EXTRA_STUDIES, FIGURE7_STUDIES,      # noqa: E402
                           casestudies_dir)
 
 
 def fingerprint(outcomes):
-    """The deterministic contents of every ProgramResult: function order,
-    outcome, Stats counters and exact error text."""
-    fp = {}
-    for study, out in outcomes.items():
-        fp[study] = [(name, fr.ok, fr.stats.counters(), fr.format_error())
-                     for name, fr in out.result.functions.items()]
-    return fp
+    """``{study: [[name, ok, counters, error text], ...]}`` — the same
+    row shape as the golden fingerprint file."""
+    return {study: [[name, fr.ok, fr.stats.counters(), fr.format_error()]
+                    for name, fr in out.result.functions.items()]
+            for study, out in outcomes.items()}
 
 
-def run_suite(paths, cached, traced=False, compiled=False):
+def run_suite(paths, traced=False):
     """One cold pass over the suite; returns (total_wall, check_wall,
     outcomes)."""
-    set_cache_enabled(cached)
-    set_compile_enabled(compiled)
-    if cached or compiled:
-        clear_pure_caches()
+    clear_pure_caches()
     t0 = time.perf_counter()
     check = 0.0
     outcomes = {}
@@ -105,17 +86,9 @@ def load_baseline(path):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--quick", action="store_true",
-                    help="2 repetitions, correctness assertions only "
-                         "(no speedup threshold) — the CI smoke mode")
+                    help="2 repetitions — the CI smoke mode")
     ap.add_argument("--repeat", type=int, default=None,
-                    help="repetitions per mode (default 5; 2 with --quick)")
-    ap.add_argument("--threshold", type=float, default=2.0,
-                    help="minimum required checking-phase speedup, "
-                         "cache_on vs cache_off")
-    ap.add_argument("--compile-threshold", type=float, default=1.3,
-                    help="minimum required checking-phase speedup, "
-                         "compiled vs cache_on (measured ~1.6x on the "
-                         "reference machine; the floor absorbs noise)")
+                    help="repetitions (default 5; 2 with --quick)")
     ap.add_argument("--extras", action="store_true",
                     help="also measure the non-Figure-7 extra studies")
     ap.add_argument("--json", dest="json_path", default="BENCH_solver.json",
@@ -135,188 +108,122 @@ def main(argv=None) -> int:
     base = casestudies_dir()
     paths = [base / f"{stem}.c" for stem in studies]
     print(f"bench_solver: {len(paths)} case studies, "
-          f"{repeat} repetition(s) per mode"
-          f"{' (quick)' if args.quick else ''}")
+          f"{repeat} repetition(s){' (quick)' if args.quick else ''}")
 
-    previous = cache_enabled()
-    previous_compiled = compile_enabled()
+    # Warmup pass (interpreter/import effects), capturing the fingerprint
+    # and the telemetry outside the timing.
+    _, _, outcomes = run_suite(paths)
+    fp = fingerprint(outcomes)
+    identical = True
+    functions = [f for o in outcomes.values() for f in o.metrics.functions]
+    hits = sum(f.solver_cache_hits for f in functions)
+    interned = sum(f.terms_interned for f in functions)
+    dispatch_hits = sum(f.dispatch_table_hits for f in functions)
+    compiled_terms = sum(f.terms_compiled for f in functions)
+
+    totals, checks = [], []
+    for _ in range(repeat):
+        t, c, outs = run_suite(paths)
+        totals.append(t)
+        checks.append(c)
+        identical = identical and fingerprint(outs) == fp
+    # Tracing-on cost, for information (same work, plus the event
+    # stream); the *off* path is what the baseline guards.  Each traced
+    # pass also builds the full observability record — rule-cost
+    # aggregation plus a ledger append to a scratch file — and times
+    # that separately: the ledger must stay inside the trace budget too.
+    run_suite(paths, traced=True)     # warmup
+    traced_check, ledger_extra = [], []
+    fd, scratch_ledger = tempfile.mkstemp(suffix=".rc-ledger.jsonl")
+    os.close(fd)
+
+    def traced_pass():
+        nonlocal identical
+        _, c, outs = run_suite(paths, traced=True)
+        traced_check.append(c)
+        identical = identical and fingerprint(outs) == fp
+        t_obs = time.perf_counter()
+        record_run("bench", wall_s=c,
+                   metrics=[o.metrics for o in outs.values()],
+                   costs=costs_of_outcomes(outs.values()),
+                   path=scratch_ledger)
+        ledger_extra.append(time.perf_counter() - t_obs)
+
     try:
-        # Warmup pass per mode (interpreter/import effects), capturing the
-        # fingerprints and the per-mode telemetry outside the timing.
-        _, _, out_off = run_suite(paths, cached=False)
-        _, _, out_on = run_suite(paths, cached=True)
-        _, _, out_jit = run_suite(paths, cached=True, compiled=True)
-        fp_off, fp_on = fingerprint(out_off), fingerprint(out_on)
-        fp_jit = fingerprint(out_jit)
-        identical = fp_off == fp_on == fp_jit
-        hits = sum(f.solver_cache_hits
-                   for o in out_on.values() for f in o.metrics.functions)
-        interned = sum(f.terms_interned
-                       for o in out_on.values() for f in o.metrics.functions)
-        dispatch_hits = sum(f.dispatch_table_hits
-                            for o in out_jit.values()
-                            for f in o.metrics.functions)
-        compiled_terms = sum(f.terms_compiled
-                             for o in out_jit.values()
-                             for f in o.metrics.functions)
-        nfunctions = sum(len(o.result.functions) for o in out_off.values())
-
-        off_total, off_check, on_total, on_check = [], [], [], []
-        jit_total, jit_check = [], []
         for _ in range(repeat):
-            t, c, _ = run_suite(paths, cached=False)
-            off_total.append(t)
-            off_check.append(c)
-            t, c, _ = run_suite(paths, cached=True)
-            on_total.append(t)
-            on_check.append(c)
-            t, c, _ = run_suite(paths, cached=True, compiled=True)
-            jit_total.append(t)
-            jit_check.append(c)
-        # Tracing-on cost, for information (same cache-free work, plus
-        # the event stream); the *off* path is what the baseline guards.
-        # Each traced pass also builds the full observability record —
-        # rule-cost aggregation plus a ledger append to a scratch file —
-        # and times that separately: the ledger must stay inside the
-        # trace budget too.
-        run_suite(paths, cached=False, traced=True)     # warmup
-        traced_check, ledger_extra = [], []
-        fd, scratch_ledger = tempfile.mkstemp(suffix=".rc-ledger.jsonl")
-        os.close(fd)
+            traced_pass()
 
-        def traced_pass():
-            _, c, outs = run_suite(paths, cached=False, traced=True)
-            traced_check.append(c)
-            t_obs = time.perf_counter()
-            record_run("bench", wall_s=c,
-                       metrics=[o.metrics for o in outs.values()],
-                       costs=costs_of_outcomes(outs.values()),
-                       path=scratch_ledger)
-            ledger_extra.append(time.perf_counter() - t_obs)
+        def ledger_overhead():
+            return min(ledger_extra) / min(traced_check) * 100.0
 
-        try:
-            for _ in range(repeat):
-                traced_pass()
-
-            def ledger_overhead():
-                return min(ledger_extra) / min(traced_check) * 100.0
-
-            # Same retry discipline as the baseline guards: a load spike
-            # during one pass is likelier than a real aggregation
-            # slowdown.
-            retries = 0
-            while ledger_overhead() > args.max_trace_overhead \
-                    and retries < 3:
-                traced_pass()
-                retries += 1
-            ledger_cost = ledger_overhead()
-        finally:
-            try:
-                os.unlink(scratch_ledger)
-            except OSError:
-                pass
-
-        baseline = load_baseline(args.json_path) if args.json_path else None
-        trace_regress = compiled_regress = None
-        same_platform = (baseline is not None
-                         and baseline.get("platform") == platform.platform())
-
-        def guarded_regress(samples, base_stats, rerun):
-            """Best-of-now vs *median*-of-baseline: robust to the
-            baseline having caught one lucky sample, still trips on a
-            real slowdown of the instrumented-but-off fast path.  A
-            pending failure gets extra cold passes first — on shared
-            hardware a single load spike is far more likely than a
-            genuine regression of a few `is None` checks."""
-            base_check = base_stats.get("median", base_stats["min"])
-
-            def regress():
-                return (min(samples) / base_check - 1.0) * 100.0
-
-            retries = 0
-            while regress() > args.max_trace_overhead and retries < 3:
-                _, c, _ = rerun()
-                samples.append(c)
-                retries += 1
-            return regress()
-
-        if same_platform and "cache_off" in baseline.get("configs", {}):
-            trace_regress = guarded_regress(
-                off_check, baseline["configs"]["cache_off"]["check_wall_s"],
-                lambda: run_suite(paths, cached=False))
-        if same_platform and "check_wall_s" in baseline.get(
-                "configs", {}).get("compiled", {}):
-            # The RC_COMPILE path has its own instrumentation sites (the
-            # flat dispatch table bypasses some, hits others), so it gets
-            # its own trace-off watchdog against its own baseline.
-            compiled_regress = guarded_regress(
-                jit_check, baseline["configs"]["compiled"]["check_wall_s"],
-                lambda: run_suite(paths, cached=True, compiled=True))
+        # Same retry discipline as the baseline guard: a load spike
+        # during one pass is likelier than a real aggregation slowdown.
+        retries = 0
+        while ledger_overhead() > args.max_trace_overhead and retries < 3:
+            traced_pass()
+            retries += 1
+        ledger_cost = ledger_overhead()
     finally:
-        set_cache_enabled(previous)
-        set_compile_enabled(previous_compiled)
+        try:
+            os.unlink(scratch_ledger)
+        except OSError:
+            pass
 
-    speedup_check = min(off_check) / min(on_check)
-    speedup_total = min(off_total) / min(on_total)
-    speedup_compile = min(on_check) / min(jit_check)
-    speedup_compile_total = min(on_total) / min(jit_total)
+    baseline = load_baseline(args.json_path) if args.json_path else None
+    trace_regress = None
+    if baseline is not None \
+            and baseline.get("platform") == platform.platform() \
+            and "check_wall_s" in baseline.get("configs", {}).get(
+                "engine", {}):
+        # Best-of-now vs *median*-of-baseline: robust to the baseline
+        # having caught one lucky sample, still trips on a real slowdown
+        # of the instrumented-but-off fast path.  A pending failure gets
+        # extra cold passes first — on shared hardware a single load
+        # spike is far more likely than a genuine regression of a few
+        # `is None` checks.
+        base_stats = baseline["configs"]["engine"]["check_wall_s"]
+        base_check = base_stats.get("median", base_stats["min"])
 
-    print(f"  cache off: check {min(off_check) * 1e3:8.1f}ms   "
-          f"total {min(off_total) * 1e3:8.1f}ms   (best of {repeat})")
-    print(f"  cache on:  check {min(on_check) * 1e3:8.1f}ms   "
-          f"total {min(on_total) * 1e3:8.1f}ms")
-    print(f"  compiled:  check {min(jit_check) * 1e3:8.1f}ms   "
-          f"total {min(jit_total) * 1e3:8.1f}ms")
-    print(f"  speedup:   check {speedup_check:5.2f}x   "
-          f"total {speedup_total:5.2f}x   (cache on vs off)")
-    print(f"             check {speedup_compile:5.2f}x   "
-          f"total {speedup_compile_total:5.2f}x   (compiled vs cache on)")
+        def regress():
+            return (min(checks) / base_check - 1.0) * 100.0
+
+        retries = 0
+        while regress() > args.max_trace_overhead and retries < 3:
+            checks.append(run_suite(paths)[1])
+            retries += 1
+        trace_regress = regress()
+
+    all_verified = all(o.ok for o in outcomes.values())
+    print(f"  engine:    check {min(checks) * 1e3:8.1f}ms   "
+          f"total {min(totals) * 1e3:8.1f}ms   (best of {repeat})")
     print(f"  telemetry: {hits} solver-cache hits, "
-          f"{interned} terms interned, {nfunctions} functions")
+          f"{interned} terms interned, {len(functions)} functions")
     print(f"             {dispatch_hits} dispatch-table hits, "
           f"{compiled_terms} terms compiled")
-    trace_cost = (min(traced_check) / min(off_check) - 1.0) * 100.0
+    trace_cost = (min(traced_check) / min(checks) - 1.0) * 100.0
     print(f"  tracing:   on {min(traced_check) * 1e3:8.1f}ms   "
           f"({trace_cost:+.1f}% vs off)")
     print(f"  ledger:    +{min(ledger_extra) * 1e3:.2f}ms per pass   "
           f"({ledger_cost:+.2f}% of checking wall, "
           f"limit +{args.max_trace_overhead:.1f}%)")
-    for label, value in (("trace-off overhead vs baseline", trace_regress),
-                         ("compiled trace-off overhead vs baseline",
-                          compiled_regress)):
-        if value is not None:
-            print(f"  {label}: {value:+.1f}% "
-                  f"(limit +{args.max_trace_overhead:.1f}%)")
-        else:
-            print(f"  {label}: skipped "
-                  "(no same-platform baseline artifact)")
+    if trace_regress is not None:
+        print(f"  trace-off overhead vs baseline: {trace_regress:+.1f}% "
+              f"(limit +{args.max_trace_overhead:.1f}%)")
+    else:
+        print("  trace-off overhead vs baseline: skipped "
+              "(no same-platform baseline artifact)")
 
     failures = []
     if not identical:
-        diffs = [s for s in fp_off
-                 if fp_off[s] != fp_on.get(s) or fp_off[s] != fp_jit.get(s)]
-        failures.append("cached/compiled results differ from the reference "
-                        f"in: {', '.join(diffs)}")
-    if not all(o.ok for o in out_off.values()):
-        failures.append("reference run has verification failures")
-    if not args.quick and speedup_check < args.threshold:
-        failures.append(f"checking-phase speedup {speedup_check:.2f}x "
-                        f"< {args.threshold:.1f}x")
-    if not args.quick and speedup_compile < args.compile_threshold:
-        failures.append(f"compiled-vs-cached speedup {speedup_compile:.2f}x "
-                        f"< {args.compile_threshold:.1f}x")
+        failures.append("the fingerprint differs between passes "
+                        "(cold, warm-up or traced)")
+    if not all_verified:
+        failures.append("the suite has verification failures")
     if trace_regress is not None and trace_regress > args.max_trace_overhead:
         failures.append(
             f"tracing-off checking wall regressed {trace_regress:+.1f}% "
             f"vs baseline (> +{args.max_trace_overhead:.1f}%): the no-op "
             "fast path of repro.trace must stay free")
-    if compiled_regress is not None \
-            and compiled_regress > args.max_trace_overhead:
-        failures.append(
-            f"RC_COMPILE tracing-off checking wall regressed "
-            f"{compiled_regress:+.1f}% vs baseline "
-            f"(> +{args.max_trace_overhead:.1f}%): the compiled hot path "
-            "must stay free of instrumentation cost too")
     if ledger_cost > args.max_trace_overhead:
         failures.append(
             f"ledger+aggregation overhead {ledger_cost:+.2f}% of the "
@@ -326,19 +233,11 @@ def main(argv=None) -> int:
     if args.json_path:
         payload = bench_envelope("solver", studies, repeat)
         payload["configs"] = {
-            "cache_off": {
-                "total_wall_s": sample_stats(off_total),
-                "check_wall_s": sample_stats(off_check),
-            },
-            "cache_on": {
-                "total_wall_s": sample_stats(on_total),
-                "check_wall_s": sample_stats(on_check),
+            "engine": {
+                "total_wall_s": sample_stats(totals),
+                "check_wall_s": sample_stats(checks),
                 "solver_cache_hits": hits,
                 "terms_interned": interned,
-            },
-            "compiled": {
-                "total_wall_s": sample_stats(jit_total),
-                "check_wall_s": sample_stats(jit_check),
                 "dispatch_table_hits": dispatch_hits,
                 "terms_compiled": compiled_terms,
             },
@@ -350,12 +249,8 @@ def main(argv=None) -> int:
             "on_vs_off_pct": round(trace_cost, 2),
             "off_vs_baseline_pct": (round(trace_regress, 2)
                                     if trace_regress is not None else None),
-            "compiled_off_vs_baseline_pct": (
-                round(compiled_regress, 2)
-                if compiled_regress is not None else None),
             "limit_pct": args.max_trace_overhead,
             "asserted": trace_regress is not None,
-            "compiled_asserted": compiled_regress is not None,
         }
         payload["ledger_overhead"] = {
             "extra_ms_per_pass": round(min(ledger_extra) * 1e3, 3),
@@ -363,42 +258,19 @@ def main(argv=None) -> int:
             "limit_pct": args.max_trace_overhead,
             "asserted": True,
         }
-        payload["speedup"] = {
-            "basis": "min-of-repetitions",
-            "primary": "check_wall",
-            "check_wall": round(speedup_check, 3),
-            "total_wall": round(speedup_total, 3),
-            "threshold": args.threshold if not args.quick else None,
-            "compiled_check_wall": round(speedup_compile, 3),
-            "compiled_total_wall": round(speedup_compile_total, 3),
-            "compiled_threshold": (args.compile_threshold
-                                   if not args.quick else None),
-        }
         payload["checks"] = {
             "fingerprint_identical": identical,
-            "all_verified": all(o.ok for o in out_off.values()),
-            "functions": nfunctions,
-            "speedup_asserted": not args.quick,
+            "all_verified": all_verified,
+            "functions": len(functions),
         }
+        payload["fingerprint"] = fp
         path = write_bench_json(args.json_path, payload)
         print(f"  wrote {path}")
 
-    # One run-ledger record (no-op unless RC_LEDGER is set).  The
-    # recorded wall is the checking wall of the configuration the
-    # environment selects — RC_COMPILE runs land in their own
-    # comparability pool, so the sentinel tracks each mode separately.
-    compiled_env = os.environ.get("RC_COMPILE", "").strip().lower() \
-        not in ("", "0", "false", "off", "no")
-    record_run("bench",
-               wall_s=min(jit_check if compiled_env else on_check),
-               jobs=1, suite=studies,
+    # One run-ledger record (no-op unless RC_LEDGER is set).
+    record_run("bench", wall_s=min(checks), jobs=1, suite=studies,
                extra={"script": "bench_solver", "quick": args.quick,
-                      "check_wall_s": {
-                          "cache_off": round(min(off_check), 6),
-                          "cache_on": round(min(on_check), 6),
-                          "compiled": round(min(jit_check), 6)},
-                      "speedup_check": round(speedup_check, 3),
-                      "speedup_compiled": round(speedup_compile, 3),
+                      "check_wall_s": round(min(checks), 6),
                       "ledger_overhead_pct": round(ledger_cost, 3)})
 
     if failures:
@@ -406,13 +278,7 @@ def main(argv=None) -> int:
         for f in failures:
             print(f"  - {f}")
         return 1
-    print("\nOK: cache-free, cached and compiled runs are observationally "
-          "identical"
-          + ("." if args.quick
-             else f"; speedups {speedup_check:.2f}x >= "
-                  f"{args.threshold:.1f}x (cached), "
-                  f"{speedup_compile:.2f}x >= "
-                  f"{args.compile_threshold:.1f}x (compiled)."))
+    print("\nOK: every pass gave the same fingerprint.")
     return 0
 
 

@@ -178,7 +178,7 @@ def main(argv=None) -> int:
         for stem, out in outcomes.items():
             m = out.metrics
             rechecked = sum(1 for f in m.functions
-                            if f.cache in ("dirty", "miss", "off"))
+                            if f.cache in ("dirty", "off"))
             all_ok = all_ok and out.ok
             telemetry["files"][stem] = {
                 "status": "verified", "ok": out.ok,

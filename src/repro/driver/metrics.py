@@ -44,8 +44,8 @@ from ..lithium.search import TELEMETRY_KEYS
 #       per-unit records gain ``dispatch_table_hits`` (flat-table rule
 #       dispatch hits) and ``terms_compiled`` (closure forms stamped onto
 #       interned nodes).  Like ``solver_cache_hits``, both are telemetry —
-#       excluded from ``counters`` so outcomes stay byte-identical across
-#       RC_COMPILE settings; both are 0 with the compiler off.
+#       excluded from ``counters``, which must not depend on how warm the
+#       engine's caches and compiled forms are.
 #   6 — observability (repro.obs): the per-unit record gains
 #       ``elab_memo_hits`` / ``elab_memo_misses`` (per-worker elaborated-
 #       program cache effectiveness on the parallel paths; both 0 for
@@ -57,6 +57,11 @@ from ..lithium.search import TELEMETRY_KEYS
 #       records still load through ``DriverMetrics.from_dict`` (the new
 #       fields default to 0; derived blocks are always recomputed).
 METRICS_SCHEMA_VERSION = 6
+
+# Per-function cache states of records written before every cached run
+# went through the incremental planner: a whole-key cache "hit" reused
+# the stored verdict (today's "clean"), a "miss" re-checked ("dirty").
+_CACHE_STATE_OF_LEGACY = {"hit": "clean", "miss": "dirty"}
 
 
 @dataclass
@@ -84,12 +89,13 @@ class FunctionMetrics:
 
     name: str
     ok: bool
-    cache: str = "off"    # "off" | "hit" | "miss" | "clean" | "dirty"
+    cache: str = "off"    # "off" | "clean" | "dirty"
     wall_s: float = 0.0           # check wall time (original, if cached)
     solver_s: float = 0.0
     counters: dict = field(default_factory=dict)  # Stats.counters()
     # Engine telemetry (schema v2).  Not part of ``counters`` — these vary
-    # with the cache configuration while counters stay byte-identical.
+    # with how warm the pure engine's caches are, while counters stay
+    # byte-identical.
     solver_cache_hits: int = 0
     terms_interned: int = 0
     # Compiled hot path telemetry (schema v5) — same exclusion rationale.
@@ -107,7 +113,7 @@ class DriverMetrics:
     cache_hits: int = 0
     cache_misses: int = 0
     wall_s: float = 0.0           # elapsed checking time (excl. front end)
-    solver_cache_hits: int = 0    # summed over live (non-"hit") functions
+    solver_cache_hits: int = 0    # summed over live (non-"clean") functions
     terms_interned: int = 0
     dispatch_table_hits: int = 0  # schema v5, summed like the two above
     terms_compiled: int = 0
@@ -146,7 +152,7 @@ class DriverMetrics:
             self.results_reused += 1
         elif cache == "dirty":
             self.functions_dirty += 1
-        if cache not in ("hit", "clean"):
+        if cache != "clean":
             # Cached entries report the *original* run's times; only live
             # checks contribute to this unit's phase totals.
             self.phases.search_s += max(0.0, wall_s - solver_s)
@@ -174,7 +180,7 @@ class DriverMetrics:
             return {"hits": hits, "total": total,
                     "ratio": round(hits / total, 4) if total else None}
 
-        live = [f for f in self.functions if f.cache not in ("hit", "clean")]
+        live = [f for f in self.functions if f.cache != "clean"]
         solver_calls = sum(f.counters.get("solver_calls", 0) for f in live)
         rule_apps = sum(f.counters.get("rule_applications", 0)
                         for f in live)
@@ -248,10 +254,11 @@ class DriverMetrics:
             search_s=float(phases.get("search_s", 0.0)),
             solver_s=float(phases.get("solver_s", 0.0)))
         for fn in data.get("functions", []):
+            cache = str(fn.get("cache", "off"))
             fm = FunctionMetrics(
                 name=str(fn.get("name", "")),
                 ok=bool(fn.get("ok", False)),
-                cache=str(fn.get("cache", "off")),
+                cache=_CACHE_STATE_OF_LEGACY.get(cache, cache),
                 wall_s=float(fn.get("wall_s", 0.0)),
                 solver_s=float(fn.get("solver_s", 0.0)),
                 counters=dict(fn.get("counters", {})))

@@ -9,8 +9,9 @@ parallel.  The driver:
 1. schedules independent functions onto a **process pool** (``jobs > 1``),
    with a deterministic in-process serial path as the ``jobs = 1``
    fallback and reference semantics;
-2. consults a **content-addressed result cache** (:mod:`.cache`) before
-   scheduling anything;
+2. reuses verdicts from the **content-addressed result cache**
+   (:mod:`.cache`) for the functions an incremental plan
+   (:mod:`.incremental`) marks clean, and stores fresh ones;
 3. records **per-phase metrics** (:mod:`.metrics`).
 
 Determinism: before every function check the driver resets the global
@@ -49,7 +50,7 @@ from ..refinedc.checker import (FunctionResult, ProgramResult, TypedProgram,
 from ..trace.profile import trace_summary
 from ..trace.tracer import (FunctionTrace, Tracer, merge_function_traces,
                             set_current, trace_env_enabled)
-from .cache import DEFAULT_CACHE_DIR, ResultCache, function_cache_key
+from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .metrics import DriverMetrics, PhaseTimings
 
 
@@ -95,8 +96,13 @@ class DriverConfig:
             return bool(self.trace)
         return trace_env_enabled()
 
+    @property
+    def cached(self) -> bool:
+        """Does this run use the persistent result cache?"""
+        return self.cache or self.cache_dir is not None
+
     def open_cache(self) -> Optional[ResultCache]:
-        if not self.cache and self.cache_dir is None:
+        if not self.cached:
             return None
         root = Path(self.cache_dir) if self.cache_dir is not None \
             else DEFAULT_CACHE_DIR
@@ -332,17 +338,20 @@ def run_units(units: Sequence[Unit], config: Optional[DriverConfig] = None,
     scale: pool startup is paid once and the per-function tasks of all
     units load-balance together.
 
-    ``plans`` (unit key → :class:`UnitPlan`) is the incremental path:
-    planned units reuse cached results for clean functions and schedule
-    only the dirty subset, in the plan's dependency order.  Functions a
-    plan does not mention fall back to the legacy whole-key cache path.
+    ``plans`` (unit key → :class:`UnitPlan`) is the only way the
+    persistent result cache is read or written: planned units reuse
+    cached results for clean functions and schedule only the dirty
+    subset, in the plan's dependency order, storing fresh outcomes under
+    the plan's transitive key.  Every cached run is planned by
+    :func:`repro.driver.incremental.run_units_incremental`; without
+    ``plans`` the cache settings of ``config`` are not consulted.
 
     ``session`` reuses a caller-owned warm :class:`PoolSession` instead
     of starting (and paying for) a fresh pool for this call."""
     config = config or DriverConfig()
     plans = plans or {}
     jobs = config.resolved_jobs()
-    store = config.open_cache()
+    store = config.open_cache() if plans else None
     tracing = config.resolved_trace()
 
     t_start = time.perf_counter()
@@ -379,18 +388,6 @@ def run_units(units: Sequence[Unit], config: Optional[DriverConfig] = None,
                 if store is not None and fplan.store_key is not None:
                     cache_keys[(unit.key, name)] = fplan.store_key
                 m.cache_misses += 1
-                unit_pending.append(name)
-                continue
-            if store is not None:
-                ckey = function_cache_key(unit.tp, name)
-                cache_keys[(unit.key, name)] = ckey
-                hit = store.get(ckey)
-                if hit is not None:
-                    fr, wall = hit
-                    collected[(unit.key, name)] = (fr, wall, "hit")
-                    m.cache_hits += 1
-                    continue
-                m.cache_misses += 1
             unit_pending.append(name)
         if plan is not None and plan.order:
             # Dependency (callee-before-caller) order: at jobs=1 a
@@ -413,10 +410,7 @@ def run_units(units: Sequence[Unit], config: Optional[DriverConfig] = None,
                     metrics[ukey].elab_memo_misses += 1
             plan = plans.get(ukey)
             fplan = plan.functions.get(name) if plan is not None else None
-            if fplan is not None:
-                state = fplan.label
-            else:
-                state = "miss" if store is not None else "off"
+            state = fplan.label if fplan is not None else "off"
             collected[(ukey, name)] = (fr, wall, state)
             if trace is not None:
                 events, dropped = trace
@@ -445,11 +439,10 @@ def run_units(units: Sequence[Unit], config: Optional[DriverConfig] = None,
                            dispatch_table_hits=fr.stats.dispatch_table_hits,
                            terms_compiled=fr.stats.terms_compiled)
         # Elapsed time is shared by every unit on the pool; a unit's own
-        # checking cost is the sum of its live function walls.  "hit" and
-        # "clean" entries carry the *original* run's wall time.
+        # checking cost is the sum of its live function walls.  "clean"
+        # entries carry the *original* run's wall time.
         m.wall_s = elapsed if len(units) == 1 else \
-            sum(f.wall_s for f in m.functions
-                if f.cache not in ("hit", "clean"))
+            sum(f.wall_s for f in m.functions if f.cache != "clean")
         if tracing:
             # Deterministic merge: front end first, then the live-checked
             # functions in spec order — independent of the schedule that
@@ -546,4 +539,7 @@ def run_program(tp: TypedProgram, *, source: Optional[str] = None,
                               trace=config.trace)
     unit = Unit(key=study or "<unit>", source=source or "", tp=tp,
                 lemmas=lemmas, timings=timings)
+    if config.cached:
+        from .incremental import run_units_incremental
+        return run_units_incremental([unit], config)[unit.key]
     return run_units([unit], config)[unit.key]

@@ -8,8 +8,10 @@ manual facts.
 
 Stage (B)+(C) is scheduled by the verification driver
 (:mod:`repro.driver`): ``jobs=N`` verifies independent functions on a
-process pool, ``cache=True`` consults the content-addressed result cache
-under ``.rc-cache/``, and every run records per-phase metrics
+process pool, ``cache=True`` reuses verdicts from the content-addressed
+result cache under ``.rc-cache/`` (planned by the incremental engine, so
+a verdict is reused only while every input it depends on — callee specs
+included — is unchanged), and every run records per-phase metrics
 (``VerificationOutcome.metrics``).  The defaults (``jobs=1``, cache off)
 keep the classic serial behaviour.
 
@@ -134,11 +136,12 @@ def verify_source(source: str,
                   ) -> VerificationOutcome:
     """Verify annotated C source text.
 
-    ``incremental=True`` plans the run through the dependency-aware
-    re-verification engine (:mod:`repro.driver.incremental`): only
-    functions whose fingerprinted inputs changed since the state stored
-    under the cache directory are re-checked; the persistent cache is
-    implied."""
+    Every cached run (``cache=True``, a ``cache_dir``, or
+    ``incremental=True``, which implies the cache) is planned by the
+    dependency-aware re-verification engine
+    (:mod:`repro.driver.incremental`): only functions whose
+    fingerprinted inputs changed since the state stored under the cache
+    directory are re-checked."""
     key = study or "<unit>"
     tracing = trace_env_enabled() if trace is None else bool(trace)
     tp, timings, front = _front_end(source, lemmas, tracing, key)
@@ -146,7 +149,8 @@ def verify_source(source: str,
                           trace=tracing)
     unit = Unit(key=key, source=source, tp=tp, lemmas=lemmas,
                 timings=timings, front_trace=front)
-    runner = run_units_incremental if incremental else run_units
+    runner = run_units_incremental if incremental or config.cached \
+        else run_units
     result, metrics = runner([unit], config)[unit.key]
     return VerificationOutcome(tp, result, study, metrics)
 
@@ -208,7 +212,7 @@ def verify_files(paths: Sequence[Union[str, Path]], *,
     config = DriverConfig(jobs=jobs, cache=cache, cache_dir=cache_dir,
                           trace=tracing)
     t0 = time.perf_counter()
-    if incremental:
+    if incremental or config.cached:
         results = run_units_incremental(units, config, session=session,
                                         state_cache=state_cache)
     else:
@@ -230,9 +234,8 @@ def _ledger_record(outcomes: dict, *, jobs: int, wall_s: float,
     :mod:`repro.obs.ledger`).  The off path is one environ lookup; the
     imports stay lazy so untelemetered runs never load the observatory.
     The driver-level run shape (result cache, incremental planning) goes
-    into the record's config block: it changes the wall time as much as
-    any global switch, so it must split the sentinel's comparability
-    pools."""
+    into the record's config block: it changes the wall time, so it must
+    split the sentinel's comparability pools."""
     from .obs.ledger import ledger_env_path, record_run
     if ledger_env_path() is None:
         return

@@ -110,8 +110,8 @@ EvarRule = Callable[[Term, "SearchState"], Optional[Term]]
 
 #: The cache/engine telemetry fields of :class:`Stats` — the single
 #: source of truth for what ``counters()`` excludes.  Telemetry values
-#: vary with the cache/compile configuration and the schedule, while
-#: ``counters()`` must stay byte-identical across all of them (it feeds
+#: vary with how warm the pure engine's caches are and the schedule,
+#: while ``counters()`` must stay byte-identical across all of them (it feeds
 #: the fuzz-corpus fingerprints and the driver's on-disk result cache).
 #: The driver metrics, the observability ledger and the tests all import
 #: this tuple instead of repeating the field names.
@@ -584,20 +584,23 @@ class SearchState:
         for k in diff.coeffs:
             if k is not ev and any(s == ev for s in k.subterms()):
                 return False
-        # ev = -(rest + const) / coeff
+        # ev = -(rest + const) / coeff, in exact integer arithmetic (a
+        # float quotient would round constants above 2^53).
         parts = []
         for k, v in diff.coeffs.items():
             if k is ev:
                 continue
-            c = int(v / (-coeff))
-            if v / (-coeff) != c:
+            c, r = divmod(v, -coeff)
+            if r:
                 return False
+            c = int(c)
             parts.append(mul(intlit(c), k) if c != 1 else k)
-        const = diff.const / (-coeff)
-        if const != int(const):
+        const, r = divmod(diff.const, -coeff)
+        if r:
             return False
-        if int(const) != 0 or not parts:
-            parts.append(intlit(int(const)))
+        const = int(const)
+        if const != 0 or not parts:
+            parts.append(intlit(const))
         solution = add(*parts) if len(parts) > 1 else parts[0]
         if solution.sort is not Sort.INT or ev in solution.evars():
             return False

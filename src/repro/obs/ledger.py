@@ -7,9 +7,8 @@ configuration, and what it cost —
 
 * identity: record kind (``verify``/``bench``/``fuzz``/``serve``),
   wall-clock timestamp, git sha (best effort), platform triple;
-* configuration: the ``RC_*`` environment flags, the resolved
-  *in-process* switch states (compile / pure memo — an env flag can be
-  overridden programmatically mid-process), job count, and the unit
+* configuration: the ``RC_*`` environment flags, the driver-level run
+  shape (result cache, incremental planning), job count, and the unit
   suite, so the regression sentinel never compares apples to oranges;
 * cost: total wall seconds, per-function wall times keyed
   ``<unit>:<function>``, the schema-v6 cache-effectiveness block, and
@@ -32,6 +31,7 @@ import platform
 import subprocess
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -49,7 +49,7 @@ KNOWN_KINDS = ("verify", "bench", "fuzz", "serve")
 
 #: the environment flags that change proof-search performance; recorded
 #: per run and required to match for two records to be comparable
-TRACKED_ENV_FLAGS = ("RC_TRACE", "RC_COMPILE", "RC_PURE_CACHE")
+TRACKED_ENV_FLAGS = ("RC_TRACE",)
 
 _OFF_VALUES = ("", "0", "false", "off", "no")
 
@@ -66,10 +66,15 @@ def ledger_env_path() -> Optional[Path]:
     return Path(raw)
 
 
+@lru_cache(maxsize=None)
 def git_sha(repo: Optional[Path] = None) -> str:
     """The current commit sha, or ``""`` when git is unavailable, the
     directory is not a repository, or the call fails for any reason —
-    the ledger must work in export tarballs too."""
+    the ledger must work in export tarballs too.  ``repo=None`` means
+    the process's working directory.  Asked once per argument and
+    process: the code a process runs does not change when the checkout's
+    HEAD moves under it, and a ``git`` subprocess per record cost
+    ~2.5 ms of every ledger append."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -86,18 +91,6 @@ def _platform_block() -> dict:
         "machine": platform.machine(),
         "system": platform.system(),
     }
-
-
-def _config_block() -> dict:
-    """The resolved in-process switch states.  These can diverge from the
-    environment flags (``set_compile_enabled`` and friends flip them
-    programmatically — the benches do exactly that), and the sentinel
-    must not compare a compiled pass against an interpreted one just
-    because the env looked identical."""
-    from ..pure.compiled import COMPILE
-    from ..pure.memo import MEMO
-    return {"compile": bool(COMPILE.enabled),
-            "pure_cache": bool(MEMO.enabled)}
 
 
 def build_record(kind: str, *,
@@ -117,13 +110,11 @@ def build_record(kind: str, *,
     under the ``extra`` key — bench/fuzz scripts stash their
     script-specific payloads there.  ``config_extra`` merges into the
     ``config`` block and therefore into the sentinel's comparability
-    pool — callers use it for run shapes the global switches cannot see
+    pool — callers use it for run shapes the environment cannot show
     (result cache on/off, incremental mode)."""
     from ..driver.metrics import (METRICS_SCHEMA_VERSION, DriverMetrics,
                                   merge_metrics)
-    config = _config_block()
-    if config_extra:
-        config.update(config_extra)
+    config = dict(config_extra or {})
     record = {
         "ledger_version": LEDGER_SCHEMA_VERSION,
         "kind": str(kind),

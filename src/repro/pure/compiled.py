@@ -1,49 +1,20 @@
-"""The ``RC_COMPILE`` switch: compiled fast paths for the hot loops.
+"""Telemetry for the compiled forms of the pure engine's hot loops.
 
 Where :mod:`repro.pure.memo` makes repeated work cheap by *caching*,
-this switch makes first-time work cheap by *compiling*: the rule
+the pure engine makes first-time work cheap by *compiling*: the rule
 registry snapshots its wildcard-resolution order into a flat dispatch
 table, ``simplify`` runs per-operator closures and stores results on
 the interned term nodes themselves, and linear arithmetic runs Gaussian
-and Fourier--Motzkin elimination on integer rows instead of
-``Fraction``-valued ``LinExpr`` chains.
+and Fourier--Motzkin elimination on integer rows.
 
-Every compiled path is observationally identical to the interpreted
-one — same outcomes, same ``Stats.counters()``, same error text — which
-``scripts/bench_solver.py`` and the differential test suites assert.
-The switch exists so that claim stays checkable: ``RC_COMPILE=0`` (or
-:func:`set_compile_enabled`) restores the interpreted reference
-implementation wholesale.
-
-Telemetry: :func:`compiled_count` counts term nodes whose compiled form
-(normal form, hypothesis decomposition, or linear row) was computed and
-attached to the node.  Like ``intern_count`` it feeds a per-function
-metric (``terms_compiled``) that is excluded from ``Stats.counters()``
-so fingerprints stay deterministic across configs.
+:func:`compiled_count` counts term nodes whose compiled form (normal
+form, hypothesis decomposition, or linear row) was computed and attached
+to the node.  Like ``intern_count`` it feeds a per-function metric
+(``terms_compiled``) that is excluded from ``Stats.counters()``: it
+depends on how warm the caches are, which results never do.
 """
 
 from __future__ import annotations
-
-import os
-from contextlib import contextmanager
-from typing import Iterator
-
-
-def _env_enabled() -> bool:
-    raw = os.environ.get("RC_COMPILE", "1").strip().lower()
-    return raw not in ("0", "false", "off", "no")
-
-
-class _CompileSwitch:
-    """Mutable holder so every module sees toggles immediately."""
-
-    __slots__ = ("enabled",)
-
-    def __init__(self, enabled: bool) -> None:
-        self.enabled = enabled
-
-
-COMPILE = _CompileSwitch(_env_enabled())
 
 _TERMS_COMPILED = 0
 
@@ -57,33 +28,3 @@ def note_compiled(n: int = 1) -> None:
 def compiled_count() -> int:
     """Total compiled-form materialisations in this process (telemetry)."""
     return _TERMS_COMPILED
-
-
-def compile_enabled() -> bool:
-    return COMPILE.enabled
-
-
-def set_compile_enabled(enabled: bool) -> bool:
-    """Flip the compiled fast paths on/off; returns the previous setting.
-
-    Transitioning clears the pure-stack caches: compiled and interpreted
-    modes produce identical values, but benchmarks and differential
-    tests want each mode measured from a cold start, and the flush keeps
-    any future divergence bug from hiding behind a warm cache.
-    """
-    prev = COMPILE.enabled
-    if prev != bool(enabled):
-        COMPILE.enabled = bool(enabled)
-        from .memo import clear_pure_caches
-        clear_pure_caches()
-    return prev
-
-
-@contextmanager
-def compile_disabled() -> Iterator[None]:
-    """Run a block on the interpreted reference path."""
-    prev = set_compile_enabled(False)
-    try:
-        yield
-    finally:
-        set_compile_enabled(prev)

@@ -7,59 +7,30 @@ entailment checking — into a candidate for *observationally pure*
 memoization: the cached result must be indistinguishable from recomputing
 it (same value, same ``Stats`` counters, same error text).
 
-This module owns the single global switch for those caches plus the
-registry used to clear them:
-
-* :data:`MEMO` — ``MEMO.enabled`` is consulted by every cache site before
-  reading or writing a cache.  Disabling the switch reproduces the
-  cache-free reference behaviour (used by ``scripts/bench_solver.py`` and
-  the property tests to prove observational purity).
-* :func:`register_cache` / :func:`register_clearer` — every cache
-  registers itself so :func:`clear_pure_caches` can drop the lot.  The
-  verification driver clears only the term *intern* tables between
-  function checks (so the per-function ``terms_interned`` metric counts
-  one function's constructions); the semantic memo caches survive across
-  functions — they are purely syntactic, so cross-function hits are free
-  speedup — and are bounded by :func:`trim_cache`.
+This module owns the registry used to clear those caches:
+:func:`register_cache` / :func:`register_clearer` — every cache
+registers itself so :func:`clear_pure_caches` can drop the lot.  The
+verification driver clears only the term *intern* tables between
+function checks (so the per-function ``terms_interned`` metric counts
+one function's constructions); the semantic memo caches survive across
+functions — they are purely syntactic, so cross-function hits are free
+speedup — and are bounded by :func:`trim_cache`.
 
 Caches registered here must hold only *derived* data: clearing them at an
-arbitrary point may cost performance but can never change a result.
-
-The ``RC_PURE_CACHE`` environment variable (``0``/``false``/``off`` to
-disable) sets the initial switch state, so whole test runs or benchmarks
-can be executed cache-free without code changes.
+arbitrary point may cost performance but can never change a result.  The
+golden fingerprint tests check exactly that, by clearing every cache
+before each function check and comparing against a warm run.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Callable, Iterator, MutableMapping
+from typing import Callable, MutableMapping
 
 from ..trace import tracer as _trace
 
 #: Default per-cache entry cap; a cache whose size exceeds its cap is
 #: simply cleared (results are derived data, so this is always safe).
 DEFAULT_CACHE_CAP = 1 << 18
-
-
-class _MemoSwitch:
-    """The global cache switch.  A tiny class (not a bare module global)
-    so call sites can read ``MEMO.enabled`` after ``from .memo import
-    MEMO`` and still observe later toggles."""
-
-    __slots__ = ("enabled",)
-
-    def __init__(self, enabled: bool) -> None:
-        self.enabled = enabled
-
-
-def _env_enabled() -> bool:
-    raw = os.environ.get("RC_PURE_CACHE", "1").strip().lower()
-    return raw not in ("0", "false", "off", "no")
-
-
-MEMO = _MemoSwitch(_env_enabled())
 
 _CACHES: list[tuple[MutableMapping, int]] = []
 _CLEARERS: list[Callable[[], None]] = []
@@ -98,30 +69,3 @@ def trim_cache(cache: MutableMapping, cap: int = DEFAULT_CACHE_CAP) -> None:
             # Cache-pressure signal: a memo table hit its cap and was
             # dropped wholesale (derived data — safe, but a cold restart).
             tr.instant("memo", "trim", entries=entries, cap=cap)
-
-
-def cache_enabled() -> bool:
-    return MEMO.enabled
-
-
-def set_cache_enabled(enabled: bool) -> bool:
-    """Toggle all pure-stack caches; returns the previous state.
-
-    Caches are cleared on every transition so a re-enabled run starts
-    cold and a disabled run holds no memory."""
-    previous = MEMO.enabled
-    MEMO.enabled = bool(enabled)
-    if previous != MEMO.enabled:
-        clear_pure_caches()
-    return previous
-
-
-@contextmanager
-def caches_disabled() -> Iterator[None]:
-    """Context manager running its body with every pure cache off —
-    the reference semantics used by the memoization property tests."""
-    previous = set_cache_enabled(False)
-    try:
-        yield
-    finally:
-        set_cache_enabled(previous)

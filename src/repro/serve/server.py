@@ -65,7 +65,7 @@ CONN_GRACE_S = 2.0
 #: forkserver imports these once, so a new worker imports nothing.
 WORKER_PRELOAD = ("repro.driver.pool", "repro.lang.elaborate")
 
-_RECHECKED_STATES = ("dirty", "miss", "off")
+_RECHECKED_STATES = ("dirty", "off")
 
 
 @dataclass

@@ -3,7 +3,10 @@
 import dataclasses
 import json
 
-from repro.driver import function_cache_key
+import pytest
+
+import repro.driver.depgraph as depgraph
+from repro.driver import build_depgraph, transitive_key
 from repro.frontend import verify_file, verify_source
 from repro.lang.elaborate import elaborate_source
 from repro.proofs.manual import LEMMAS_BY_STUDY
@@ -26,7 +29,12 @@ size_t id(size_t x) { return x; }
 
 
 def _entries(cache_dir):
-    return list(cache_dir.rglob("*.json"))
+    return [p for p in cache_dir.rglob("*.json") if p.parent != cache_dir]
+
+
+def cache_key(tp, name, lemmas=None):
+    """The one key a cached verdict is stored under."""
+    return transitive_key(build_depgraph(tp, lemmas), name)
 
 
 class TestHits:
@@ -58,7 +66,7 @@ class TestHits:
     def test_hit_marks_metrics(self, tmp_path):
         verify_source(SRC, cache=True, cache_dir=tmp_path)
         again = verify_source(SRC, cache=True, cache_dir=tmp_path)
-        assert {f.cache for f in again.metrics.functions} == {"hit"}
+        assert {f.cache for f in again.metrics.functions} == {"clean"}
 
 
 class TestInvalidation:
@@ -101,23 +109,71 @@ class TestInvalidation:
         table = dict(LEMMAS_BY_STUDY["binary_search"])
         tp1 = elaborate_source(src, table)
         name = next(n for n, s in tp1.specs.items() if s.lemmas)
-        key1 = function_cache_key(tp1, name)
+        key1 = cache_key(tp1, name, table)
         strengthened = {
             k: dataclasses.replace(
                 v, hyps=v.hyps + (le(intlit(0), intlit(0)),))
             for k, v in table.items()
         }
         tp2 = elaborate_source(src, strengthened)
-        key2 = function_cache_key(tp2, name)
+        key2 = cache_key(tp2, name, strengthened)
         assert key1 != key2
 
     def test_tactics_in_key(self):
         src = study_path("free_list").read_text()
         tp = elaborate_source(src)
         name = next(n for n, s in tp.specs.items() if s.tactics)
-        key1 = function_cache_key(tp, name)
+        key1 = cache_key(tp, name)
         tp.specs[name].tactics = []
-        assert function_cache_key(tp, name) != key1
+        assert cache_key(tp, name) != key1
+
+
+CALLER_SRC = '''
+[[rc::parameters("n: nat")]]
+[[rc::args("n @ int<size_t>")]]
+[[rc::requires("{n <= 1000}")]]
+[[rc::returns("{n + 1} @ int<size_t>")]]
+size_t inc(size_t x) { return x + 1; }
+
+[[rc::parameters("n: nat")]]
+[[rc::args("n @ int<size_t>")]]
+[[rc::requires("{n <= 1000}")]]
+[[rc::returns("{n + 1} @ int<size_t>")]]
+size_t caller(size_t x) { return inc(x); }
+'''
+# inc now adds 2 and says so; caller's own text is unchanged, but its
+# proof used inc's old spec and no longer holds.
+CALLEE_CHANGED = CALLER_SRC.replace(
+    '''{n + 1} @ int<size_t>")]]
+size_t inc(size_t x) { return x + 1; }''',
+    '''{n + 2} @ int<size_t>")]]
+size_t inc(size_t x) { return x + 2; }''')
+
+
+class TestSoundness:
+    def test_callee_spec_change_invalidates_caller_verdict(self, tmp_path):
+        assert CALLEE_CHANGED != CALLER_SRC
+        assert verify_source(CALLER_SRC, cache=True, cache_dir=tmp_path).ok
+        cached = verify_source(CALLEE_CHANGED, cache=True,
+                               cache_dir=tmp_path)
+        uncached = verify_source(CALLEE_CHANGED)
+        assert not uncached.result.functions["caller"].ok
+        assert not cached.result.functions["caller"].ok
+        assert fingerprint(cached) == fingerprint(uncached)
+
+    @pytest.mark.parametrize("flags", [{"cache": True},
+                                       {"incremental": True}])
+    def test_engine_change_invalidates_cached_verdict(self, tmp_path,
+                                                      monkeypatch, flags):
+        first = verify_source(SRC, cache_dir=tmp_path, **flags)
+        assert first.metrics.cache_hits == 0
+        again = verify_source(SRC, cache_dir=tmp_path, **flags)
+        assert again.metrics.cache_hits == 2
+        monkeypatch.setattr(depgraph, "_ENGINE_FP", "another-engine")
+        changed = verify_source(SRC, cache_dir=tmp_path, **flags)
+        assert changed.metrics.cache_hits == 0
+        assert changed.metrics.cache_misses == 2
+        assert fingerprint(changed) == fingerprint(first)
 
 
 class TestRobustness:

@@ -1,52 +1,60 @@
-"""End-to-end observational purity of the compiled hot paths.
+"""End-to-end: the pure engine reproduces the interpreted reference.
 
-``RC_COMPILE=0`` must restore the interpreted reference implementation
-wholesale: per-function outcome, ``Stats.counters()`` and exact error
-text are byte-identical across modes.  The compiler may only surface in
-the (non-counter) telemetry fields ``dispatch_table_hits`` /
-``terms_compiled``.  Mirror of ``test_pure_cache.py`` for the
-``RC_COMPILE`` switch."""
+The interpreted reference engine (if-chain simplifier, ``Fraction``
+Fourier–Motzkin, no flat rule table) is gone; its per-function
+fingerprints — outcome, ``Stats.counters()`` and exact error text —
+live on in ``tests/golden/fingerprints.json``, recorded when every
+pure-cache/compile setting still gave byte-identical results.  The
+compiled forms may only surface in the (non-counter) telemetry fields
+``dispatch_table_hits`` / ``terms_compiled``.
+
+This file is the one place ``fingerprints.json`` is compared: every case
+study and every corpus program, row by row."""
 
 import pytest
 
 from repro.frontend import verify_file, verify_source
-from repro.pure.compiled import (compile_disabled, compile_enabled,
-                                 set_compile_enabled)
 from repro.pure.memo import clear_pure_caches
+from repro.report import casestudies_dir
 
-from .conftest import fingerprint, study_path
+from ..golden import fingerprint_rows, golden_script, recorded
+from .conftest import study_path
 
-STUDIES = ["alloc", "mpool", "binary_search", "hashmap"]
+
+def _golden():
+    return recorded(golden_script().FINGERPRINTS)
+
+
+STUDIES = sorted(_golden()["casestudies"])
 
 
 @pytest.fixture(autouse=True)
-def _compiled_on():
-    previous = set_compile_enabled(True)
+def _cold_caches():
     clear_pure_caches()
-    yield
-    set_compile_enabled(previous)
+
+
+def test_golden_covers_every_case_study():
+    assert STUDIES == sorted(p.stem for p in casestudies_dir().glob("*.c"))
 
 
 @pytest.mark.parametrize("study", STUDIES)
 def test_compiled_equals_interpreted(study):
-    path = study_path(study)
-    compiled = verify_file(path)
-    with compile_disabled():
-        reference = verify_file(path)
-    assert compiled.ok == reference.ok
-    assert fingerprint(compiled) == fingerprint(reference)
+    out = verify_file(study_path(study))
+    assert fingerprint_rows(out) == _golden()["casestudies"][study]
 
 
 def test_compiled_equals_interpreted_on_failure():
-    """Error text is fingerprint-relevant: a failing proof must report
-    the identical diagnostic on both paths."""
-    src = study_path("alloc").read_text().replace(
-        "{n <= a} @ optional", "{n < a} @ optional")
-    compiled = verify_source(src)
-    with compile_disabled():
-        reference = verify_source(src)
-    assert not compiled.ok and not reference.ok
-    assert fingerprint(compiled) == fingerprint(reference)
+    """Error text is fingerprint-relevant: every fuzz-corpus program —
+    the rejected mutants among them — reports the recorded diagnostic."""
+    golden = _golden()["corpus"]
+    sources = golden_script().corpus_sources()
+    assert [stem for stem, _src in sources] == sorted(golden)
+    rejected = 0
+    for stem, source in sources:
+        out = verify_source(source, study=stem)
+        assert fingerprint_rows(out) == golden[stem], stem
+        rejected += not out.ok
+    assert rejected
 
 
 def test_compile_telemetry_is_populated():
@@ -57,20 +65,3 @@ def test_compile_telemetry_is_populated():
     assert m.dispatch_table_hits == sum(f.dispatch_table_hits
                                         for f in m.functions)
     assert m.terms_compiled == sum(f.terms_compiled for f in m.functions)
-
-
-def test_disabled_compiler_reports_zero_telemetry():
-    with compile_disabled():
-        out = verify_file(study_path("mpool"))
-    assert out.metrics.dispatch_table_hits == 0
-    assert out.metrics.terms_compiled == 0
-
-
-def test_toggle_restores_previous_state():
-    assert compile_enabled() is True
-    with compile_disabled():
-        assert compile_enabled() is False
-        with compile_disabled():
-            assert compile_enabled() is False
-        assert compile_enabled() is False
-    assert compile_enabled() is True

@@ -123,3 +123,14 @@ def test_rejects_unlinearisable_equation():
     phi = T.eq(T.and_(ev, T.TRUE), T.TRUE)
     assert not st._solve_linear_evar(phi)
     assert st.subst.resolve(ev) is ev
+
+
+def test_solves_constant_above_float_precision():
+    """Constants beyond 2^53 are solved exactly: ``?n + 1 = SIZE_MAX``
+    binds ``?n`` to ``SIZE_MAX - 1``, not to a float-rounded value."""
+    size_max = 2**64 - 1
+    st = make_state()
+    ev = fresh_evar(Sort.INT, "n")
+    phi = T.eq(T.add(ev, T.intlit(1)), T.intlit(size_max))
+    assert st._solve_linear_evar(phi)
+    assert st.subst.resolve(ev) == T.intlit(size_max - 1)

@@ -14,7 +14,7 @@ from repro.obs.ledger import ledger_env_path
 def make_metrics(wall_s=0.1, hits=3, misses=1):
     m = DriverMetrics(study="unit", jobs=1, cache_enabled=True,
                       cache_hits=hits, cache_misses=misses, wall_s=wall_s)
-    m.add_function("f", True, "miss", wall_s, wall_s / 2,
+    m.add_function("f", True, "dirty", wall_s, wall_s / 2,
                    {"solver_calls": 10, "rule_applications": 40},
                    solver_cache_hits=4)
     return m
@@ -34,8 +34,8 @@ def test_build_record_shape():
         "result_cache", "solver_memo", "dispatch_table",
         "elaboration_memo", "depgraph"}
     assert rec["cache_effectiveness"]["result_cache"]["ratio"] == 0.75
-    assert rec["env"].keys() == {"RC_TRACE", "RC_COMPILE", "RC_PURE_CACHE"}
-    assert set(rec["config"]) >= {"compile", "pure_cache"}
+    assert rec["env"].keys() == {"RC_TRACE"}
+    assert rec["config"] == {}
     assert rec["extra"] == {"note": 1}
     json.dumps(rec)  # must be JSON-clean
 
@@ -208,6 +208,23 @@ def test_git_sha_tolerates_missing_repo(tmp_path):
     sha = git_sha()
     assert sha == "" or (len(sha) == 40
                          and all(c in "0123456789abcdef" for c in sha))
+
+
+def test_git_sha_tolerates_deleted_working_directory(tmp_path,
+                                                     monkeypatch):
+    """A process whose working directory was removed still records:
+    the sha is just empty."""
+    from repro.obs import git_sha
+    gone = tmp_path / "gone"
+    gone.mkdir()
+    monkeypatch.chdir(gone)
+    gone.rmdir()
+    git_sha.cache_clear()
+    try:
+        assert git_sha() == ""
+        assert build_record("verify")["git_sha"] == ""
+    finally:
+        git_sha.cache_clear()
 
 
 def test_records_are_single_lines(tmp_path):

@@ -1,17 +1,15 @@
-"""Differential tests: compiled hot paths == interpreted reference.
+"""Differential tests: the pure engine == the interpreted reference.
 
-``RC_COMPILE`` (repro.pure.compiled) swaps the hot loops of the pure
-stack — ``simplify``'s rewrite walk, ``simplify_hyp``'s hypothesis
-decomposition, and the linear-arithmetic entailment check — for
-compiled forms (per-operator closures stamped onto interned nodes,
-integer-matrix Fourier–Motzkin).  The compiled paths promise to be
-*observationally identical* to the interpreted ones; these tests check
-that promise directly by running both modes on the same random inputs
-and comparing results exactly.
-
-Each comparison flips the switch via :func:`set_compile_enabled`, which
-flushes the pure caches on every transition, so a warm memo entry from
-one mode can never mask a divergence in the other.
+The engine's hot loops run in compiled form — ``simplify``'s per-operator
+closures stamped onto interned nodes, ``simplify_hyp``'s cached
+decompositions, and integer-row Gaussian/Fourier–Motzkin elimination.
+The interpreted reference they replaced (an if-chain simplifier and a
+``Fraction``-valued FM) is kept as data: ``tests/golden/pure_table.json``
+holds its answers on a seeded term sample, every "don't know" included.
+Each test rebuilds the sample, checks the inputs still match the
+recorded ones (so the generator cannot drift silently), and compares
+the engine's answers entry by entry.  This is the one place the table
+is compared.
 """
 
 import pytest
@@ -20,102 +18,50 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.pure import simplify, simplify_hyp  # noqa: E402
-from repro.pure import terms as T  # noqa: E402
-from repro.pure.compiled import (COMPILE,  # noqa: E402
-                                 set_compile_enabled)
-from repro.pure.linarith import implies_linear  # noqa: E402
+from repro.pure import simplify  # noqa: E402
 
-VARS = ("a", "b", "c")
-
-# ---------------------------------------------------------------------
-# term strategies (same shape as test_properties.py: small integer
-# arithmetic under comparisons under a boolean skeleton)
-
-_leaf = st.one_of(
-    st.integers(-4, 4).map(T.intlit),
-    st.sampled_from(VARS).map(T.var),
-)
+from ..golden import golden_script, recorded  # noqa: E402
+from .test_properties import bool_terms, int_terms  # noqa: E402
 
 
-def _int_nodes(child):
-    return st.one_of(
-        st.tuples(child, child).map(lambda ab: T.add(*ab)),
-        st.tuples(child, child).map(lambda ab: T.sub(*ab)),
-        st.tuples(st.integers(-3, 3).map(T.intlit), child)
-          .map(lambda ab: T.mul(*ab)),
-        child.map(T.neg),
-    )
+def _cases(kind):
+    """``(inputs, recorded row)`` of every table entry of ``kind``."""
+    g = golden_script()
+    rows = recorded(g.PURE_TABLE)["cases"]
+    cases = g.pure_cases(recorded(g.PURE_TABLE)["seed"], len(rows))
+    assert len(cases) == len(rows)
+    out = []
+    for (k, terms), row in zip(cases, rows):
+        assert k == row["kind"] and [repr(t) for t in terms] == row["in"]
+        if k == kind:
+            out.append((terms, row))
+    assert out
+    return out
 
 
-int_terms = st.recursive(_leaf, _int_nodes, max_leaves=6)
+def _check(kind):
+    g = golden_script()
+    for terms, row in _cases(kind):
+        got = g.answer(kind, terms)
+        assert got == row["out"], f"{kind}({row['in']}): {got} != {row['out']}"
 
 
-def _cmp(pair_to_term):
-    return st.tuples(int_terms, int_terms).map(lambda ab: pair_to_term(*ab))
+def test_simplify_matches_interpreter():
+    _check("simplify")
 
 
-_atoms = st.one_of(_cmp(T.le), _cmp(T.lt), _cmp(T.eq))
+def test_simplify_hyp_matches_interpreter():
+    _check("simplify_hyp")
 
 
-def _bool_nodes(child):
-    return st.one_of(
-        st.tuples(child, child).map(lambda ab: T.and_(*ab)),
-        st.tuples(child, child).map(lambda ab: T.or_(*ab)),
-        child.map(T.not_),
-    )
-
-
-bool_terms = st.recursive(_atoms, _bool_nodes, max_leaves=4)
-
-
-def _both_modes(fn):
-    """Evaluate ``fn`` on the interpreted and the compiled path."""
-    prev = COMPILE.enabled
-    try:
-        set_compile_enabled(False)
-        interp = fn()
-        set_compile_enabled(True)
-        hot = fn()
-    finally:
-        set_compile_enabled(prev)
-    return interp, hot
-
-
-# ---------------------------------------------------------------------
-# the three compiled entry points
-
-@settings(max_examples=80, deadline=None)
-@given(t=st.one_of(int_terms, bool_terms))
-def test_simplify_matches_interpreter(t):
-    interp, hot = _both_modes(lambda: simplify(t))
-    assert interp == hot, f"simplify({t}): {interp} != {hot}"
-
-
-@settings(max_examples=60, deadline=None)
-@given(phi=bool_terms)
-def test_simplify_hyp_matches_interpreter(phi):
-    interp, hot = _both_modes(lambda: simplify_hyp(phi))
-    assert interp == hot, f"simplify_hyp({phi}): {interp} != {hot}"
-
-
-@settings(max_examples=60, deadline=None)
-@given(hyps=st.lists(bool_terms, max_size=3), goal=bool_terms)
-def test_implies_linear_matches_interpreter(hyps, goal):
+def test_implies_linear_matches_interpreter():
     """Entailment verdicts must agree — including every "don't know"."""
-    interp, hot = _both_modes(lambda: implies_linear(hyps, goal))
-    assert interp == hot, \
-        f"implies_linear({hyps} |= {goal}): {interp} != {hot}"
+    _check("implies_linear")
 
 
 @settings(max_examples=40, deadline=None)
 @given(t=st.one_of(int_terms, bool_terms))
 def test_compiled_simplify_is_idempotent(t):
-    """The node-stamped normal form is a fixpoint, like the reference."""
-    prev = COMPILE.enabled
-    try:
-        set_compile_enabled(True)
-        s = simplify(t)
-        assert simplify(s) == s
-    finally:
-        set_compile_enabled(prev)
+    """The node-stamped normal form is a fixpoint."""
+    s = simplify(t)
+    assert simplify(s) == s

@@ -1,11 +1,13 @@
 """Observational purity of the memoized pure-solver pipeline.
 
-The hash-consed term engine and the MEMO-gated caches (simplify /
-linarith / lists / sets / prove) must be invisible: every cached answer
-must equal the answer a cache-free run computes.  These properties drive
-randomly generated terms (the strategies from ``test_properties``)
-through both modes and require agreement — plus structural ``==``/hash
-preservation through interning and ``Subst.resolve`` round-trips.
+The hash-consed term engine and its caches (simplify / linarith / lists /
+sets / prove, plus the compiled forms stamped onto interned nodes) must
+be invisible: every answer served warm must equal the answer a cold
+computation gives after :func:`clear_pure_caches`, on fresh copies of the
+inputs that carry no compiled forms.  These properties drive randomly
+generated terms (the strategies from ``test_properties``) through both —
+plus structural ``==``/hash preservation through interning and
+``Subst.resolve`` round-trips.
 """
 
 import pickle
@@ -19,8 +21,7 @@ from hypothesis import strategies as st  # noqa: E402
 from repro.pure import simplify, simplify_hyp  # noqa: E402
 from repro.pure import terms as T  # noqa: E402
 from repro.pure.linarith import implies_linear  # noqa: E402
-from repro.pure.memo import (cache_enabled, caches_disabled,  # noqa: E402
-                             clear_pure_caches, set_cache_enabled)
+from repro.pure.memo import clear_pure_caches  # noqa: E402
 from repro.pure.solver import PureSolver  # noqa: E402
 from repro.pure.terms import Subst, fresh_evar  # noqa: E402
 
@@ -28,24 +29,29 @@ from .test_properties import bool_terms, int_terms  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
-def _caches_on():
-    """Each test starts cache-enabled with cold caches and restores the
-    ambient state afterwards."""
-    previous = set_cache_enabled(True)
+def _cold_start():
+    """Each test starts with cold caches."""
     clear_pure_caches()
     yield
-    set_cache_enabled(previous)
+
+
+def warm_and_cold(fn, *args):
+    """``fn(*args)`` served from warmed caches, and computed cold on
+    re-interned copies of ``args`` after every cache was dropped."""
+    fn(*args)
+    warm = fn(*args)
+    clear_pure_caches()
+    cold = fn(*pickle.loads(pickle.dumps(args)))
+    return warm, cold
 
 
 # ---------------------------------------------------------------------
-# memoized == cache-free
+# warm == cold
 
 @settings(max_examples=80, deadline=None)
 @given(t=st.one_of(int_terms, bool_terms))
 def test_simplify_agrees_with_cache_free(t):
-    cached = simplify(t)
-    with caches_disabled():
-        reference = simplify(t)
+    cached, reference = warm_and_cold(simplify, t)
     assert cached == reference
     assert hash(cached) == hash(reference)
 
@@ -53,27 +59,22 @@ def test_simplify_agrees_with_cache_free(t):
 @settings(max_examples=60, deadline=None)
 @given(t=bool_terms)
 def test_simplify_hyp_agrees_with_cache_free(t):
-    cached = simplify_hyp(t)
-    with caches_disabled():
-        reference = simplify_hyp(t)
+    cached, reference = warm_and_cold(simplify_hyp, t)
     assert cached == reference
 
 
 @settings(max_examples=60, deadline=None)
 @given(hyps=st.lists(bool_terms, max_size=3), goal=bool_terms)
 def test_implies_linear_agrees_with_cache_free(hyps, goal):
-    cached = implies_linear(hyps, goal)
-    with caches_disabled():
-        reference = implies_linear(hyps, goal)
+    cached, reference = warm_and_cold(implies_linear, hyps, goal)
     assert cached is reference
 
 
 @settings(max_examples=40, deadline=None)
 @given(hyps=st.lists(bool_terms, max_size=2), goal=bool_terms)
 def test_prove_agrees_with_cache_free(hyps, goal):
-    cached = PureSolver().prove(hyps, goal)
-    with caches_disabled():
-        reference = PureSolver().prove(hyps, goal)
+    cached, reference = warm_and_cold(
+        lambda h, g: PureSolver().prove(h, g), hyps, goal)
     assert cached.outcome == reference.outcome
     assert cached.solver == reference.solver
 
@@ -81,8 +82,8 @@ def test_prove_agrees_with_cache_free(hyps, goal):
 @settings(max_examples=40, deadline=None)
 @given(t=bool_terms)
 def test_repeat_simplify_is_memoized(t):
-    """With the switch on, the second simplify of a compound term is a
-    cache hit — it returns the pointer-identical object."""
+    """The second simplify of a compound term is a cache hit — it
+    returns the pointer-identical object."""
     first = simplify(t)
     second = simplify(t)
     assert first == second
@@ -121,7 +122,3 @@ def test_pickle_round_trip_reinterns(t):
     assert copy == t
     assert hash(copy) == hash(t)
     assert copy is t
-
-
-def test_fixture_restores_ambient_state():
-    assert cache_enabled() is True

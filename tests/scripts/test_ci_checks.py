@@ -1,6 +1,7 @@
 """ci_checks subcommands: the assertions CI enforces, now testable."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,10 +15,21 @@ def write(path, payload):
 # bench-artifact
 # ---------------------------------------------------------------------
 
-def bench_payload(fingerprint=True, verified=True, ratio=1.4):
+GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "golden"
+                     / "fingerprints.json").read_text())["casestudies"]
+
+
+def bench_payload(fingerprint=True, verified=True, rows=None):
     return {"checks": {"fingerprint_identical": fingerprint,
                        "all_verified": verified},
-            "speedup": {"compiled_check_wall": ratio}}
+            "fingerprint": rows if rows is not None
+            else {s: GOLDEN[s] for s in ("alloc", "mpool")}}
+
+
+def drifted():
+    rows = json.loads(json.dumps(GOLDEN["mpool"]))
+    rows[0][2]["rule_applications"] += 1
+    return {"alloc": GOLDEN["alloc"], "mpool": rows}
 
 
 class TestBenchArtifact:
@@ -29,16 +41,17 @@ class TestBenchArtifact:
     @pytest.mark.parametrize("payload", [
         bench_payload(fingerprint=False),
         bench_payload(verified=False),
-        bench_payload(ratio=0.5),
+        bench_payload(rows={}),
     ])
     def test_bad_artifact_fails(self, ci_checks, tmp_path, payload):
         p = write(tmp_path / "b.json", payload)
         assert ci_checks.main(["bench-artifact", p]) == 1
 
-    def test_speedup_floor_is_tunable(self, ci_checks, tmp_path):
-        p = write(tmp_path / "b.json", bench_payload(ratio=1.1))
-        assert ci_checks.main(
-            ["bench-artifact", p, "--min-speedup", "1.3"]) == 1
+    def test_fingerprint_drift_from_golden_fails(self, ci_checks, tmp_path,
+                                                 capsys):
+        p = write(tmp_path / "b.json", bench_payload(rows=drifted()))
+        assert ci_checks.main(["bench-artifact", p]) == 1
+        assert "in: mpool" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------
