@@ -103,11 +103,10 @@ def main(argv=None) -> int:
     incr_dir = tempfile.mkdtemp(prefix="rc-incr-bench-")
     try:
         _t, incr_cold = run(paths, "incremental cold (jobs=1)", 1,
-                            jobs=1, cache_dir=incr_dir, incremental=True,
+                            jobs=1, cache_dir=incr_dir,
                             samples_out=s_incr_cold)
         t_noop, incr_noop = run(paths, "incremental no-op (jobs=1)",
                                 args.repeat, jobs=1, cache_dir=incr_dir,
-                                incremental=True,
                                 samples_out=s_incr_noop)
         noop_rechecked = sum(o.metrics.functions_dirty
                              for o in incr_noop.values())

@@ -15,7 +15,8 @@ to reproduce exactly what CI enforces:
   (``tests/golden/fingerprints.json``).
 * ``traced-verify [--stem STEM]`` — the trace-smoke gate: with
   ``RC_TRACE=1`` in the environment a verification must thread a
-  non-empty trace through result *and* metrics without any kwargs.
+  non-empty trace through result *and* metrics without any kwargs (with
+  ``RC_LEDGER`` set it also appends the run's ledger record).
 * ``coverage-diff STATS BASELINE`` — the nightly fuzz summary: campaign
   coverage keys against the pinned baseline, rendered as markdown.
 * ``batch-reference --json OUT [STEMS...]`` — write a batch (daemon-
@@ -79,10 +80,11 @@ def check_bench_artifact(args) -> int:
 # ---------------------------------------------------------------------
 
 def check_traced_verify(args) -> int:
-    from repro.frontend import verify_file
+    from repro.frontend import verify_files
     from repro.report import casestudies_dir
 
-    out = verify_file(casestudies_dir() / f"{args.stem}.c")
+    # verify_files is the entry point that appends a ledger record.
+    out = verify_files([casestudies_dir() / f"{args.stem}.c"])[args.stem]
     if not out.ok:
         print(out.report(), file=sys.stderr)
         return 1
@@ -130,8 +132,7 @@ def batch_reference(args) -> int:
     base = casestudies_dir()
     paths = ([base / f"{s}.c" for s in args.stems] if args.stems
              else sorted(base.glob("*.c")))
-    outcomes = verify_files(paths, jobs=args.jobs, cache_dir=None,
-                            incremental=False, ledger=False)
+    outcomes = verify_files(paths, jobs=args.jobs, ledger=False)
     files = {
         stem: {
             name: {"ok": fr.ok, "error": fr.format_error(),

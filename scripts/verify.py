@@ -173,8 +173,7 @@ def main(argv=None) -> int:
     if to_run:
         outcomes = verify_files(
             to_run, jobs=args.jobs,
-            cache_dir=None if args.full else cache_dir,
-            incremental=not args.full)
+            cache_dir=None if args.full else cache_dir)
         for stem, out in outcomes.items():
             m = out.metrics
             rechecked = sum(1 for f in m.functions

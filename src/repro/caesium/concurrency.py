@@ -14,10 +14,15 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Generator, Optional, Sequence
 
-from .eval import Machine
+from .eval import FuelExhausted, Machine
 from .memory import Memory
 from .syntax import Program
 from .values import UndefinedBehavior, Value
+
+
+class StepBudgetExhausted(RuntimeError):
+    """:meth:`Scheduler.run` took more than ``max_steps`` scheduling
+    steps or block transitions (e.g. a livelock)."""
 
 
 @dataclass
@@ -57,23 +62,39 @@ class Scheduler:
         """Interleave all spawned threads to completion.
 
         Raises :class:`UndefinedBehavior` if any interleaved execution step
-        exhibits UB (e.g. a data race).
+        exhibits UB (e.g. a data race), :class:`StepBudgetExhausted` past
+        ``max_steps`` scheduling steps or block transitions.
         """
+        # A loop whose blocks never touch memory never yields back here.
+        # The machine's fuel counts block transitions, so lend it at most
+        # max_steps of it (no scheduling point is added or moved).
+        machine = self.machine
+        reserve = max(0, machine.fuel - max_steps)
+        machine.fuel -= reserve
         live = list(self._threads)
         steps = 0
-        while live:
-            steps += 1
-            if steps > max_steps:
-                raise RuntimeError("scheduler: step budget exhausted")
-            idx = self.rng.randrange(len(live))
-            tid, gen = live[idx]
-            try:
-                next(gen)
-            except StopIteration as stop:
-                self._results[tid] = ThreadResult(tid, stop.value, True)
-                assert self.memory.races is not None
-                self.memory.races.join_thread(0, tid)
-                live.pop(idx)
+        try:
+            while live:
+                steps += 1
+                if steps > max_steps:
+                    raise StepBudgetExhausted(
+                        "scheduler: step budget exhausted")
+                idx = self.rng.randrange(len(live))
+                tid, gen = live[idx]
+                try:
+                    next(gen)
+                except StopIteration as stop:
+                    self._results[tid] = ThreadResult(tid, stop.value, True)
+                    assert self.memory.races is not None
+                    self.memory.races.join_thread(0, tid)
+                    live.pop(idx)
+        except FuelExhausted:
+            if reserve:
+                raise StepBudgetExhausted(
+                    "scheduler: step budget exhausted") from None
+            raise
+        finally:
+            machine.fuel += reserve
         self._threads.clear()
         return dict(self._results)
 

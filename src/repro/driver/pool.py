@@ -47,7 +47,7 @@ from ..refinedc import checker as _checker
 from ..refinedc.checker import (FunctionResult, ProgramResult, TypedProgram,
                                 check_function, missing_body_result,
                                 verification_targets)
-from ..trace.profile import trace_summary
+from ..trace.profile import build_profile, trace_summary
 from ..trace.tracer import (FunctionTrace, Tracer, merge_function_traces,
                             set_current, trace_env_enabled)
 from .cache import DEFAULT_CACHE_DIR, ResultCache
@@ -274,12 +274,6 @@ class PoolSession:
         self.close()
 
 
-def _check_one(tp: TypedProgram, name: str, tracing: bool = False
-               ) -> tuple[FunctionResult, float, Optional[tuple]]:
-    """The in-process reference path: reset counters, check, time it."""
-    return _traced_check(tp, name, tracing)
-
-
 def _traced_check(tp: TypedProgram, name: str, tracing: bool
                   ) -> tuple[FunctionResult, float, Optional[tuple]]:
     """Check one function, optionally under a fresh per-function tracer.
@@ -453,7 +447,8 @@ def run_units(units: Sequence[Unit], config: Optional[DriverConfig] = None,
             unit_trace = merge_function_traces(
                 unit.key, unit.front_trace, by_fn, iter(unit.tp.specs))
             result.trace = unit_trace
-            m.trace = trace_summary(unit_trace)
+            result.profile = build_profile(unit_trace)
+            m.trace = trace_summary(result.profile)
         out[unit.key] = (result, m)
     return out
 
@@ -483,7 +478,8 @@ def _run_pending(pending: list[tuple[str, str]],
 def _run_serial(pending, units_by_key, tracing):
     out = {}
     for ukey, name in pending:
-        fr, wall, trace = _check_one(units_by_key[ukey].tp, name, tracing)
+        fr, wall, trace = _traced_check(units_by_key[ukey].tp, name,
+                                        tracing)
         out[(ukey, name)] = (fr, wall, trace, None)
     return out
 

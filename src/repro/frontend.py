@@ -41,6 +41,7 @@ from .lang.parser import parse
 from .proofs.manual import LEMMAS_BY_STUDY
 from .pure.solver import Lemma
 from .refinedc.checker import ProgramResult, TypedProgram
+from .trace.profile import SelfProfile
 from .trace.tracer import (FunctionTrace, Tracer, UnitTrace, set_current,
                            trace_env_enabled)
 
@@ -63,6 +64,11 @@ class VerificationOutcome:
         """The merged proof-search trace, when the run was traced."""
         tr = self.result.trace
         return tr if isinstance(tr, UnitTrace) else None
+
+    @property
+    def profile(self) -> Optional[SelfProfile]:
+        """The trace's self-profile, built once by the driver."""
+        return self.result.profile
 
     def report(self) -> str:
         lines = []
@@ -131,14 +137,12 @@ def verify_source(source: str,
                   jobs: int = 1,
                   cache: bool = False,
                   cache_dir: Optional[Union[str, Path]] = None,
-                  trace: Optional[bool] = None,
-                  incremental: bool = False
+                  trace: Optional[bool] = None
                   ) -> VerificationOutcome:
     """Verify annotated C source text.
 
-    Every cached run (``cache=True``, a ``cache_dir``, or
-    ``incremental=True``, which implies the cache) is planned by the
-    dependency-aware re-verification engine
+    Every cached run (``cache=True`` or a ``cache_dir``) is planned by
+    the dependency-aware re-verification engine
     (:mod:`repro.driver.incremental`): only functions whose
     fingerprinted inputs changed since the state stored under the cache
     directory are re-checked."""
@@ -149,8 +153,7 @@ def verify_source(source: str,
                           trace=tracing)
     unit = Unit(key=key, source=source, tp=tp, lemmas=lemmas,
                 timings=timings, front_trace=front)
-    runner = run_units_incremental if incremental or config.cached \
-        else run_units
+    runner = run_units_incremental if config.cached else run_units
     result, metrics = runner([unit], config)[unit.key]
     return VerificationOutcome(tp, result, study, metrics)
 
@@ -160,8 +163,7 @@ def verify_file(path: Union[str, Path],
                 jobs: int = 1,
                 cache: bool = False,
                 cache_dir: Optional[Union[str, Path]] = None,
-                trace: Optional[bool] = None,
-                incremental: bool = False
+                trace: Optional[bool] = None
                 ) -> VerificationOutcome:
     """Verify an annotated C file.  Manual lemma tables registered for the
     file's stem (see :mod:`repro.proofs.manual`) are picked up
@@ -171,8 +173,7 @@ def verify_file(path: Union[str, Path],
     if lemmas is None:
         lemmas = LEMMAS_BY_STUDY.get(study)
     return verify_source(path.read_text(), lemmas, study, jobs=jobs,
-                         cache=cache, cache_dir=cache_dir, trace=trace,
-                         incremental=incremental)
+                         cache=cache, cache_dir=cache_dir, trace=trace)
 
 
 def verify_files(paths: Sequence[Union[str, Path]], *,
@@ -180,7 +181,6 @@ def verify_files(paths: Sequence[Union[str, Path]], *,
                  cache: bool = False,
                  cache_dir: Optional[Union[str, Path]] = None,
                  trace: Optional[bool] = None,
-                 incremental: bool = False,
                  session=None,
                  state_cache: Optional[dict] = None,
                  ledger: bool = True
@@ -189,8 +189,9 @@ def verify_files(paths: Sequence[Union[str, Path]], *,
 
     Returns outcomes keyed by file stem, in input order.  With ``jobs>1``
     every (file, function) pair is one task on a single process pool.
-    ``incremental=True`` re-checks only the functions whose fingerprinted
-    inputs changed since the last run against this cache directory.
+    A cached run (``cache=True`` or a ``cache_dir``) re-checks only the
+    functions whose fingerprinted inputs changed since the last run
+    against that cache directory.
 
     A long-lived caller (the serve daemon) passes ``session`` (a warm
     :class:`repro.driver.PoolSession`) to reuse one worker pool across
@@ -212,7 +213,7 @@ def verify_files(paths: Sequence[Union[str, Path]], *,
     config = DriverConfig(jobs=jobs, cache=cache, cache_dir=cache_dir,
                           trace=tracing)
     t0 = time.perf_counter()
-    if incremental or config.cached:
+    if config.cached:
         results = run_units_incremental(units, config, session=session,
                                         state_cache=state_cache)
     else:
@@ -223,19 +224,18 @@ def verify_files(paths: Sequence[Union[str, Path]], *,
                 for study, (result, metrics) in results.items()}
     if ledger:
         _ledger_record(outcomes, jobs=config.resolved_jobs(), wall_s=wall,
-                       cache=bool(cache or cache_dir or incremental),
-                       incremental=incremental)
+                       cache=config.cached)
     return outcomes
 
 
 def _ledger_record(outcomes: dict, *, jobs: int, wall_s: float,
-                   cache: bool, incremental: bool) -> None:
+                   cache: bool) -> None:
     """Append one run-ledger record when ``RC_LEDGER`` opts in (see
     :mod:`repro.obs.ledger`).  The off path is one environ lookup; the
     imports stay lazy so untelemetered runs never load the observatory.
-    The driver-level run shape (result cache, incremental planning) goes
-    into the record's config block: it changes the wall time, so it must
-    split the sentinel's comparability pools."""
+    The driver-level run shape (result cache on or off) goes into the
+    record's config block: it changes the wall time, so it must split
+    the sentinel's comparability pools."""
     from .obs.ledger import ledger_env_path, record_run
     if ledger_env_path() is None:
         return
@@ -244,5 +244,4 @@ def _ledger_record(outcomes: dict, *, jobs: int, wall_s: float,
                metrics=[o.metrics for o in outcomes.values()
                         if o.metrics is not None],
                costs=costs_of_outcomes(outcomes.values()),
-               config_extra={"result_cache": cache,
-                             "incremental": incremental})
+               config_extra={"result_cache": cache})

@@ -73,6 +73,10 @@ class RuleRegistry:
         self.dispatch_hits = 0  # telemetry only; never in counters()
 
     def register(self, rule: Rule) -> None:
+        # Traces key a rule as ``rule:<dispatch-key>:<name>``; the profile
+        # reads the name back after the last colon.
+        if ":" in rule.name:
+            raise RuleError(f"rule name {rule.name!r} contains ':'")
         bucket = self._rules.setdefault(rule.key, [])
         if any(r.name == rule.name for r in bucket):
             raise RuleError(f"duplicate rule name {rule.name!r} for {rule.key}")

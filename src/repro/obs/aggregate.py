@@ -2,9 +2,10 @@
 
 :class:`RuleCostMap` is the observability sibling of the fuzz farm's
 ``CoverageMap``: where coverage records *which* behaviours a check
-exercised, the cost map records *what each one cost*.  It streams over a
-:class:`~repro.trace.tracer.UnitTrace` (no Chrome export, no retained
-event list) and maintains, per key,
+exercised, the cost map records *what each one cost*.  It is the
+persisted ``rule:``/``solver:`` slice of the unit self-profiles
+(:func:`repro.trace.profile.build_profile`, the one walk over a trace),
+holding per key a :class:`~repro.trace.profile.CostEntry`:
 
 * ``count`` — how many spans hit the key,
 * ``total_s`` — summed wall time of those spans,
@@ -13,7 +14,7 @@ event list) and maintains, per key,
 * ``max_s`` — the single slowest span,
 
 for two key families sharing the fuzz signature vocabulary
-(:mod:`repro.trace.signature`):
+(:func:`repro.trace.signature.span_key`):
 
 * ``rule:<dispatch-key>:<rule-name>`` — one entry per applied typing
   rule at its dispatch key;
@@ -30,67 +31,23 @@ map, so persisted blocks from a different vocabulary fail loudly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from ..trace.signature import RULE_PREFIX
-from ..trace.tracer import TraceEvent, UnitTrace
+from ..trace.profile import CostEntry, SelfProfile
+from ..trace.signature import RULE_PREFIX, SOLVER_PREFIX
 
 #: bump when the key vocabulary or the per-key fields change incompatibly
 AGGREGATE_SCHEMA_VERSION = 1
 
-#: key-prefix for the solver-tactic dimension
-SOLVER_PREFIX = "solver:"
 
-
-@dataclass
-class CostEntry:
-    """The aggregate cost of one key."""
-
-    count: int = 0
-    total_s: float = 0.0
-    self_s: float = 0.0
-    max_s: float = 0.0
-
-    def add_span(self, dur_s: float, self_s: float) -> None:
-        self.count += 1
-        self.total_s += dur_s
-        self.self_s += self_s
-        if dur_s > self.max_s:
-            self.max_s = dur_s
-
-    def merge(self, other: "CostEntry") -> None:
-        self.count += other.count
-        self.total_s += other.total_s
-        self.self_s += other.self_s
-        self.max_s = max(self.max_s, other.max_s)
-
-    def to_dict(self) -> dict:
-        return {"count": self.count,
-                "total_s": round(self.total_s, 6),
-                "self_s": round(self.self_s, 6),
-                "max_s": round(self.max_s, 6)}
-
-
-def _span_key(ev: TraceEvent) -> Optional[str]:
-    """The cost-map key of one span event, or ``None`` for spans outside
-    the two accounted families.  Mirrors ``signature._event_keys`` so the
-    fuzz dashboards and ``rcstat`` tables name behaviours identically."""
-    if ev.cat == "rule":
-        dispatch = ev.args.get("key") or ev.args.get("goal", "")
-        return f"{RULE_PREFIX}{dispatch}:{ev.name}"
-    if ev.cat == "solver" and ev.name == "prove":
-        outcome = ev.args.get("outcome")
-        if outcome is None:
-            return None
-        tactic = ev.args.get("solver", "")
-        return (f"{SOLVER_PREFIX}{outcome}:{tactic}" if tactic
-                else f"{SOLVER_PREFIX}{outcome}")
-    return None
+def _merge_entries(into: dict[str, CostEntry],
+                   entries: dict[str, CostEntry]) -> None:
+    for key, entry in entries.items():
+        into.setdefault(key, CostEntry()).merge(entry)
 
 
 class RuleCostMap:
-    """Streaming count/total/self/max accounting per rule dispatch key
+    """Mergeable count/total/self/max accounting per rule dispatch key
     and per solver tactic."""
 
     __slots__ = ("entries",)
@@ -99,35 +56,11 @@ class RuleCostMap:
         self.entries: dict[str, CostEntry] = {}
 
     # -- accumulation -------------------------------------------------
-    def add_unit_trace(self, trace: Optional[UnitTrace]) -> None:
-        """Fold one unit's trace in.  Uses the same stack replay as
-        ``trace.profile.build_profile`` (pre-ordered span stream; an
-        event at depth *d* closes every open span at depth >= *d*), but
-        only materialises the two accounted key families."""
-        if trace is None:
-            return
-        for buf in trace.buffers:
-            # [event, direct-child duration]
-            stack: list[list] = []
-
-            def pop() -> None:
-                ev, child_dur = stack.pop()
-                dur = ev.dur or 0.0
-                if stack:
-                    stack[-1][1] += dur
-                key = _span_key(ev)
-                if key is not None:
-                    entry = self.entries.setdefault(key, CostEntry())
-                    entry.add_span(dur, max(0.0, dur - child_dur))
-
-            for ev in buf.events:
-                if ev.ph != TraceEvent.SPAN:
-                    continue
-                while stack and stack[-1][0].depth >= ev.depth:
-                    pop()
-                stack.append([ev, 0.0])
-            while stack:
-                pop()
+    def add_profile(self, prof: Optional[SelfProfile]) -> None:
+        """Fold in one unit's self-profile (its ``rule:``/``solver:``
+        entries); ``None`` — an untraced unit — adds nothing."""
+        if prof is not None:
+            _merge_entries(self.entries, prof.costs)
 
     def add_counts(self, keys) -> None:
         """Fold in count-only coverage keys (no wall columns) — the fuzz
@@ -141,8 +74,7 @@ class RuleCostMap:
                 self.entries.setdefault(key, CostEntry()).count += int(n)
 
     def merge(self, other: "RuleCostMap") -> None:
-        for key, entry in other.entries.items():
-            self.entries.setdefault(key, CostEntry()).merge(entry)
+        _merge_entries(self.entries, other.entries)
 
     # -- queries ------------------------------------------------------
     def rules(self) -> dict[str, CostEntry]:
@@ -191,12 +123,13 @@ class RuleCostMap:
 
 
 def costs_of_outcomes(outcomes: Iterable) -> RuleCostMap:
-    """Fold the traces of several ``VerificationOutcome``-likes (anything
-    with a ``trace`` attribute) into one map — the shape the ledger
-    writers use after a ``verify_files`` run."""
+    """Merge the profiles the driver already built for several
+    ``VerificationOutcome``-likes (anything with a ``profile``
+    attribute) into one map — the shape the ledger writers use after a
+    ``verify_files`` run."""
     costs = RuleCostMap()
     for out in outcomes:
-        costs.add_unit_trace(getattr(out, "trace", None))
+        costs.add_profile(getattr(out, "profile", None))
     return costs
 
 

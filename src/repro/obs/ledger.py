@@ -8,7 +8,7 @@ configuration, and what it cost —
 * identity: record kind (``verify``/``bench``/``fuzz``/``serve``),
   wall-clock timestamp, git sha (best effort), platform triple;
 * configuration: the ``RC_*`` environment flags, the driver-level run
-  shape (result cache, incremental planning), job count, and the unit
+  shape (result cache on/off), job count, and the unit
   suite, so the regression sentinel never compares apples to oranges;
 * cost: total wall seconds, per-function wall times keyed
   ``<unit>:<function>``, the schema-v6 cache-effectiveness block, and
@@ -111,7 +111,7 @@ def build_record(kind: str, *,
     script-specific payloads there.  ``config_extra`` merges into the
     ``config`` block and therefore into the sentinel's comparability
     pool — callers use it for run shapes the environment cannot show
-    (result cache on/off, incremental mode)."""
+    (result cache on/off)."""
     from ..driver.metrics import (METRICS_SCHEMA_VERSION, DriverMetrics,
                                   merge_metrics)
     config = dict(config_extra or {})

@@ -80,9 +80,11 @@ class FunctionResult:
 @dataclass
 class ProgramResult:
     functions: dict[str, FunctionResult] = field(default_factory=dict)
-    # Merged proof-search trace (repro.trace.tracer.UnitTrace), attached
-    # by the driver when tracing is enabled; None otherwise.
+    # Merged proof-search trace (repro.trace.tracer.UnitTrace) and its
+    # self-profile (repro.trace.profile.SelfProfile), attached by the
+    # driver when tracing is enabled; None otherwise.  In-memory only.
     trace: Optional[object] = None
+    profile: Optional[object] = None
 
     @property
     def ok(self) -> bool:

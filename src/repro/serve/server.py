@@ -488,8 +488,7 @@ class VerifyDaemon:
         failures and observe the recovery path."""
         return verify_files(
             paths, jobs=jobs,
-            cache_dir=None if full else ns.cache_dir,
-            incremental=not full, session=session,
+            cache_dir=None if full else ns.cache_dir, session=session,
             state_cache=None if full else ns.state_cache,
             ledger=False)
 
@@ -601,8 +600,7 @@ class VerifyDaemon:
                    metrics=[m for m in metrics if m is not None],
                    suite=suite,
                    extra=extra,
-                   config_extra={"result_cache": not full,
-                                 "incremental": not full},
+                   config_extra={"result_cache": not full},
                    path=self.ledger_target)
 
     # ------------------------------------------------------------

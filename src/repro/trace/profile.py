@@ -1,30 +1,60 @@
 """Self-profile over a trace: where the proof search spends its time.
 
-Aggregates the spans of a :class:`~.tracer.UnitTrace` into
+Aggregates the spans of a :class:`~.tracer.UnitTrace` — in one walk,
+:func:`build_profile`, the only span-stack replay — into
 
-* per-``(cat, name)`` span statistics — count, total wall, *self* wall
-  (total minus the directly nested spans), so e.g. a typing rule's own
-  cost is separated from the solver calls it triggers;
+* :class:`CostEntry` statistics — count, total wall, *self* wall (total
+  minus the directly nested spans, so e.g. a typing rule's own cost is
+  separated from the solver calls it triggers), slowest span — per
+  ``rule:``/``solver:`` key (:func:`~.signature.span_key`, the slice the
+  run ledger persists; per-rule rows are sums over it) and per
+  ``(cat, name)`` for every other span;
 * instant counts (memo hits/misses, evar events, context churn);
-* the top-N slowest ``solver.prove`` calls, with their goal and outcome —
-  the first place to look when a verification is slow.
+* every ``solver.prove`` call, for the top-N slowest goals — the first
+  place to look when a verification is slow.
 
-``trace_summary`` distills the same data into the JSON-able ``trace``
-block of the schema-v3 driver metrics.
+The driver builds one profile per traced unit and keeps it next to the
+trace; ``trace_summary`` distills it into the JSON-able ``trace`` block
+of the schema-v3 driver metrics.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import defaultdict
 from dataclasses import dataclass, field
 
+from .signature import RULE_PREFIX, span_key
 from .tracer import TraceEvent, UnitTrace
 
 
 @dataclass
-class SpanAgg:
+class CostEntry:
+    """The aggregate cost of one key."""
+
     count: int = 0
     total_s: float = 0.0
     self_s: float = 0.0
+    max_s: float = 0.0
+
+    def add_span(self, dur_s: float, self_s: float) -> None:
+        self.count += 1
+        self.total_s += dur_s
+        self.self_s += self_s
+        if dur_s > self.max_s:
+            self.max_s = dur_s
+
+    def merge(self, other: "CostEntry") -> None:
+        self.count += other.count
+        self.total_s += other.total_s
+        self.self_s += other.self_s
+        self.max_s = max(self.max_s, other.max_s)
+
+    def to_dict(self) -> dict:
+        return {"count": self.count,
+                "total_s": round(self.total_s, 6),
+                "self_s": round(self.self_s, 6),
+                "max_s": round(self.max_s, 6)}
 
 
 @dataclass
@@ -33,60 +63,73 @@ class SlowCall:
     function: str
     goal: str
     outcome: str
-    solver: str
 
 
 @dataclass
 class SelfProfile:
-    spans: dict[tuple[str, str], SpanAgg] = field(default_factory=dict)
+    spans: dict[tuple[str, str], CostEntry] = field(default_factory=dict)
+    costs: dict[str, CostEntry] = field(default_factory=dict)
     instants: dict[tuple[str, str], int] = field(default_factory=dict)
-    slowest_prove: list[SlowCall] = field(default_factory=list)
+    # (duration, function, event) of every solver.prove span, walk order
+    proves: list[tuple[float, str, TraceEvent]] = field(default_factory=list)
     events: int = 0
     dropped: int = 0
 
-    def rules(self) -> dict[str, SpanAgg]:
-        """Per-typing-rule aggregate (spans in the ``rule`` category are
-        named after the rule that was applied)."""
-        return {name: agg for (cat, name), agg in self.spans.items()
-                if cat == "rule"}
+    def rules(self) -> dict[str, CostEntry]:
+        """Per-typing-rule aggregate: the ``rule:<dispatch>:<name>``
+        entries summed by rule name (the registry rejects names with
+        ``:``)."""
+        out: dict[str, CostEntry] = {}
+        for key, entry in self.costs.items():
+            if key.startswith(RULE_PREFIX):
+                name = key.rpartition(":")[2]
+                out.setdefault(name, CostEntry()).merge(entry)
+        return out
+
+    def slowest_prove(self, n: int) -> list[SlowCall]:
+        """The ``n`` slowest ``solver.prove`` calls, slowest first (ties
+        in walk order)."""
+        return [SlowCall(dur, function, str(ev.args.get("goal", "")),
+                         str(ev.args.get("outcome", "")))
+                for dur, function, ev in heapq.nsmallest(
+                    n, self.proves, key=lambda p: -p[0])]
 
 
-def build_profile(trace: UnitTrace, top_n: int = 10) -> SelfProfile:
-    prof = SelfProfile(events=trace.event_count(),
+def build_profile(trace: UnitTrace) -> SelfProfile:
+    prof = SelfProfile(spans=defaultdict(CostEntry),
+                       costs=defaultdict(CostEntry),
+                       events=trace.event_count(),
                        dropped=trace.dropped_count())
-    slow: list[SlowCall] = []
+    spans, costs, proves = prof.spans, prof.costs, prof.proves
+
+    def close(stack: list, function: str) -> None:
+        ev, child_dur = stack.pop()
+        dur = ev.dur or 0.0
+        self_s = max(0.0, dur - child_dur)
+        if stack:
+            stack[-1][1] += dur
+        key = span_key(ev)
+        if key is not None:
+            costs[key].add_span(dur, self_s)
+        if ev.cat != "rule":
+            spans[(ev.cat, ev.name)].add_span(dur, self_s)
+            if ev.cat == "solver" and ev.name == "prove":
+                proves.append((dur, function, ev))
+
     for buf in trace.buffers:
         # Stack replay over the pre-ordered span stream: an event at depth
         # d is a direct child of the last open span at depth < d.
         stack: list[list] = []   # [event, direct_child_dur]
-
-        def pop() -> None:
-            ev, child_dur = stack.pop()
-            dur = ev.dur or 0.0
-            agg = prof.spans.setdefault((ev.cat, ev.name), SpanAgg())
-            agg.count += 1
-            agg.total_s += dur
-            agg.self_s += max(0.0, dur - child_dur)
-            if stack:
-                stack[-1][1] += dur
-            if ev.cat == "solver" and ev.name == "prove":
-                slow.append(SlowCall(dur, buf.function,
-                                     str(ev.args.get("goal", "")),
-                                     str(ev.args.get("outcome", "")),
-                                     str(ev.args.get("solver", ""))))
-
         for ev in buf.events:
             if ev.ph == TraceEvent.INSTANT:
                 key = (ev.cat, ev.name)
                 prof.instants[key] = prof.instants.get(key, 0) + 1
                 continue
             while stack and stack[-1][0].depth >= ev.depth:
-                pop()
+                close(stack, buf.function)
             stack.append([ev, 0.0])
         while stack:
-            pop()
-    slow.sort(key=lambda c: -c.dur_s)
-    prof.slowest_prove = slow[:top_n]
+            close(stack, buf.function)
     return prof
 
 
@@ -104,8 +147,7 @@ def render_profile(prof: SelfProfile, top_n: int = 10) -> str:
                          f"{agg.total_s * 1e3:>7.2f}ms "
                          f"{agg.self_s * 1e3:>7.2f}ms")
 
-    other = sorted(((k, v) for k, v in prof.spans.items() if k[0] != "rule"),
-                   key=lambda kv: -kv[1].total_s)
+    other = sorted(prof.spans.items(), key=lambda kv: -kv[1].total_s)
     if other:
         lines.append("")
         lines.append(f"{'span':<24} {'count':>6} {'total':>9} {'self':>9}")
@@ -122,26 +164,26 @@ def render_profile(prof: SelfProfile, top_n: int = 10) -> str:
                                          key=lambda kv: -kv[1])[:top_n]:
             lines.append(f"{cat + '.' + name:<24} {count:>6}")
 
-    if prof.slowest_prove:
+    slowest = prof.slowest_prove(top_n)
+    if slowest:
         lines.append("")
-        lines.append(f"top {len(prof.slowest_prove)} slowest solver goals:")
-        for c in prof.slowest_prove:
+        lines.append(f"top {len(slowest)} slowest solver goals:")
+        for c in slowest:
             where = f" [{c.function}]" if c.function else ""
             lines.append(f"  {c.dur_s * 1e3:7.2f}ms  {c.outcome:<8} "
                          f"{c.goal}{where}")
     return "\n".join(lines)
 
 
-def trace_summary(trace: UnitTrace, top_n: int = 5) -> dict:
+def trace_summary(prof: SelfProfile, top_n: int = 5) -> dict:
     """The ``trace`` block of the schema-v3 driver metrics: per-rule
-    counts/time plus solver/memo roll-ups.  Counts are deterministic;
-    the ``*_s`` fields are wall-clock."""
-    prof = build_profile(trace, top_n=top_n)
+    counts/time plus solver/memo roll-ups of one unit's profile.  Counts
+    are deterministic; the ``*_s`` fields are wall-clock."""
     rules = {name: {"count": agg.count,
                     "total_s": round(agg.total_s, 6),
                     "self_s": round(agg.self_s, 6)}
              for name, agg in sorted(prof.rules().items())}
-    prove = prof.spans.get(("solver", "prove"), SpanAgg())
+    prove = prof.spans.get(("solver", "prove"), CostEntry())
     return {
         "events": prof.events,
         "dropped": prof.dropped,
@@ -155,6 +197,6 @@ def trace_summary(trace: UnitTrace, top_n: int = 5) -> dict:
         "slowest_prove": [
             {"dur_s": round(c.dur_s, 6), "function": c.function,
              "goal": c.goal, "outcome": c.outcome}
-            for c in prof.slowest_prove
+            for c in prof.slowest_prove(top_n)
         ],
     }

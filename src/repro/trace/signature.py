@@ -40,14 +40,35 @@ SIGNATURE_SCHEMA_VERSION = 1
 #: dashboards and the coverage floor filter on it
 RULE_PREFIX = "rule:"
 
+#: key-prefix for the pure-solver outcome/tactic dimension
+SOLVER_PREFIX = "solver:"
 
-def _event_keys(ev: TraceEvent) -> Iterable[str]:
+
+def span_key(ev: TraceEvent) -> Optional[str]:
+    """The ``rule:``/``solver:`` key of one event, or ``None`` outside
+    those two families.  The one owner of their vocabulary: coverage
+    signatures, the self-profile and the run ledger's rule costs all
+    name a behaviour by this key."""
     if ev.cat == "rule":
         # args["key"] is the goal's full dispatch key (judgment head +
         # type-constructor heads); older traces without it fall back to
         # the judgment class name.
         dispatch = ev.args.get("key") or ev.args.get("goal", "")
-        yield f"{RULE_PREFIX}{dispatch}:{ev.name}"
+        return f"{RULE_PREFIX}{dispatch}:{ev.name}"
+    if ev.cat == "solver" and ev.name == "prove":
+        outcome = ev.args.get("outcome")
+        if outcome is None:
+            return None
+        tactic = ev.args.get("solver", "")
+        return (f"{SOLVER_PREFIX}{outcome}:{tactic}" if tactic
+                else f"{SOLVER_PREFIX}{outcome}")
+    return None
+
+
+def _event_keys(ev: TraceEvent) -> Iterable[str]:
+    key = span_key(ev)
+    if key is not None:
+        yield key
     elif ev.cat == "search":
         if ev.name == "step":
             yield f"step:{ev.args.get('goal', '')}"
@@ -57,12 +78,6 @@ def _event_keys(ev: TraceEvent) -> Iterable[str]:
             yield "search:deferred"
         elif ev.name == "fail":
             yield "search:fail"
-    elif ev.cat == "solver" and ev.name == "prove":
-        outcome = ev.args.get("outcome")
-        if outcome is not None:
-            tactic = ev.args.get("solver", "")
-            yield (f"solver:{outcome}:{tactic}" if tactic
-                   else f"solver:{outcome}")
     elif ev.cat == "evar" and ev.name == "instantiate":
         yield f"evar:{ev.args.get('via', '')}"
     # memo hits/misses, context churn and frontend phases are performance

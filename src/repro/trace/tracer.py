@@ -234,13 +234,6 @@ class FunctionTrace:
     events: list[TraceEvent] = field(default_factory=list)
     dropped: int = 0
 
-    @property
-    def scope(self) -> str:
-        return f"{self.unit}:{self.function}" if self.function else self.unit
-
-    def keys(self) -> list[tuple]:
-        return [ev.key() for ev in self.events]
-
 
 @dataclass
 class UnitTrace:
@@ -274,14 +267,6 @@ class UnitTrace:
     def to_chrome(self) -> dict:
         from .chrome import chrome_trace
         return chrome_trace(self)
-
-    def to_jsonl(self) -> str:
-        from .chrome import to_jsonl
-        return to_jsonl(self)
-
-    def profile(self):
-        from .profile import build_profile
-        return build_profile(self)
 
 
 def merge_function_traces(unit: str, front: Optional[FunctionTrace],

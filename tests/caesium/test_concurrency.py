@@ -1,12 +1,15 @@
 """Scheduler and race-detection tests: Caesium's interleaving semantics."""
 
+import time
+
 import pytest
 
-from repro.caesium.concurrency import Scheduler, run_concurrently
+from repro.caesium.concurrency import (Scheduler, StepBudgetExhausted,
+                                       run_concurrently)
 from repro.caesium.layout import INT, SIZE_T, IntLayout, PtrLayout
 from repro.caesium.syntax import (CASE, Assign, BinOpE, Block, CondGoto,
-                                  Function, Goto, IntConst, Program, Ret, Use,
-                                  VarAddr)
+                                  ExprS, Function, Goto, IntConst, Program,
+                                  Ret, Use, VarAddr)
 from repro.caesium.values import (UndefinedBehavior, VPtr, decode_int,
                                   encode_int)
 
@@ -113,13 +116,37 @@ class TestScheduler:
         results = run_concurrently(prog, [], seeds=range(3), setup=setup)
         assert len(results) == 3
 
-    @pytest.mark.slow
     def test_step_budget(self):
+        """A yield-free goto loop never returns to the scheduler; the
+        budget still stops it within max_steps block transitions, long
+        before the machine's own fuel runs out."""
         loop = Function("spin", [], None, [], {
             "entry": Block([], Goto("entry")),
         }, "entry")
         prog = Program(functions={"spin": loop})
         sched = Scheduler(prog, seed=0, fuel=10**9)
         sched.spawn("spin", [])
-        with pytest.raises(Exception):
+        t0 = time.perf_counter()
+        with pytest.raises(StepBudgetExhausted,
+                           match=r"^scheduler: step budget exhausted$"):
             sched.run(max_steps=1000)
+        assert time.perf_counter() - t0 < 1.0
+        assert sched.machine.fuel == 10**9 - 1000
+
+    def test_step_budget_counts_yields(self):
+        """A loop that reads memory yields on every pass and is stopped
+        by the scheduling-step count, before its block budget."""
+        loop = Function("spin", [("p", PTR)], None, [], {
+            "entry": Block([ExprS(Use(Use(VarAddr("p"), PTR), SZ))],
+                           Goto("entry")),
+        }, "entry")
+        sched = Scheduler(Program(functions={"spin": loop}), seed=0,
+                          fuel=10**9)
+        cell = sched.memory.allocate(8)
+        sched.memory.store(cell, encode_int(0, SIZE_T), tid=0)
+        sched.spawn("spin", [VPtr(cell)])
+        with pytest.raises(StepBudgetExhausted,
+                           match=r"^scheduler: step budget exhausted$"):
+            sched.run(max_steps=1000)
+        # Fewer than 1000 blocks ran; the held-back fuel is returned.
+        assert 10**9 - 1000 < sched.machine.fuel < 10**9

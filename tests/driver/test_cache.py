@@ -161,8 +161,8 @@ class TestSoundness:
         assert not cached.result.functions["caller"].ok
         assert fingerprint(cached) == fingerprint(uncached)
 
-    @pytest.mark.parametrize("flags", [{"cache": True},
-                                       {"incremental": True}])
+    # A cache_dir alone also turns the cache on.
+    @pytest.mark.parametrize("flags", [{"cache": True}, {}])
     def test_engine_change_invalidates_cached_verdict(self, tmp_path,
                                                       monkeypatch, flags):
         first = verify_source(SRC, cache_dir=tmp_path, **flags)

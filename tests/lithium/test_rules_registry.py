@@ -69,6 +69,10 @@ class TestLookup:
         with pytest.raises(RuleError):
             reg.lookup(J(("j",)))
 
+    def test_colon_in_name_rejected(self):
+        with pytest.raises(RuleError, match="contains ':'"):
+            RuleRegistry().register(r("A:B", ("j",)))
+
     def test_duplicate_name_rejected(self):
         reg = RuleRegistry()
         reg.register(r("dup", ("j",)))

@@ -1,9 +1,11 @@
-"""Per-rule cost accounting: stack replay, determinism, merges."""
+"""Per-rule cost accounting: the profile's cost slice, determinism,
+merges."""
 
 import pytest
 
 from repro.obs import (AGGREGATE_SCHEMA_VERSION, SOLVER_PREFIX, CostEntry,
                        RuleCostMap, costs_of_outcomes, render_top_rules)
+from repro.trace.profile import build_profile
 from repro.trace.signature import RULE_PREFIX
 from repro.trace.tracer import FunctionTrace, TraceEvent, UnitTrace
 
@@ -29,7 +31,7 @@ def synthetic_trace():
 
 def test_stack_replay_totals_and_self():
     costs = RuleCostMap()
-    costs.add_unit_trace(synthetic_trace())
+    costs.add_profile(build_profile(synthetic_trace()))
     rule = costs.entries[f"{RULE_PREFIX}G:ptr:owned_ptr"]
     assert rule.count == 2
     assert rule.total_s == pytest.approx(0.15)
@@ -46,14 +48,14 @@ def test_stack_replay_totals_and_self():
 
 def test_rules_tactics_partition():
     costs = RuleCostMap()
-    costs.add_unit_trace(synthetic_trace())
+    costs.add_profile(build_profile(synthetic_trace()))
     assert set(costs.rules()) | set(costs.tactics()) == set(costs.entries)
     assert not (set(costs.rules()) & set(costs.tactics()))
 
 
 def test_none_trace_is_noop():
     costs = RuleCostMap()
-    costs.add_unit_trace(None)
+    costs.add_profile(None)
     assert costs.entries == {}
 
 
@@ -82,7 +84,7 @@ def test_merge_of_per_unit_maps_equals_single_map(study_path):
     folded = RuleCostMap()
     for out in outcomes:
         per_unit = RuleCostMap()
-        per_unit.add_unit_trace(out.trace)
+        per_unit.add_profile(out.profile)
         folded.merge(per_unit)
     assert folded.entries.keys() == single.entries.keys()
     for key, entry in single.entries.items():
@@ -110,7 +112,7 @@ def test_add_counts_iterable_and_mapping():
 
 def test_round_trip_and_version_check():
     costs = RuleCostMap()
-    costs.add_unit_trace(synthetic_trace())
+    costs.add_profile(build_profile(synthetic_trace()))
     data = costs.to_dict()
     assert data["schema_version"] == AGGREGATE_SCHEMA_VERSION
     again = RuleCostMap.from_dict(data)
@@ -141,7 +143,7 @@ def test_top_falls_back_to_count_for_count_only_maps():
 
 def test_render_top_rules_timed_and_count_only():
     timed = RuleCostMap()
-    timed.add_unit_trace(synthetic_trace())
+    timed.add_profile(build_profile(synthetic_trace()))
     table = render_top_rules(timed)
     assert "owned_ptr" in table and "ms" in table
     count_only = RuleCostMap()
@@ -149,3 +151,69 @@ def test_render_top_rules_timed_and_count_only():
     table = render_top_rules(count_only)
     assert "3" in table and "-" in table and "ms" not in table
     assert render_top_rules(RuleCostMap()) == "(no entries)"
+
+
+class _CountedEvents(list):
+    """An event buffer that counts how often it is walked."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+@pytest.fixture(scope="module")
+def ledgered_suite(tmp_path_factory):
+    """One traced ``verify_files`` over every case study with
+    ``RC_LEDGER`` set, each merged unit trace's buffers swapped for
+    walk-counting ones as the driver assembles them."""
+    from repro.driver import pool
+    from repro.frontend import verify_files
+    from repro.obs import read_ledger
+    from repro.report import casestudies_dir
+
+    buffers: list[_CountedEvents] = []
+    merge = pool.merge_function_traces
+
+    def counting_merge(*args, **kwargs):
+        trace = merge(*args, **kwargs)
+        for buf in trace.buffers:
+            buf.events = _CountedEvents(buf.events)
+            buffers.append(buf.events)
+        return trace
+
+    ledger = tmp_path_factory.mktemp("ledger") / "ledger.jsonl"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("RC_LEDGER", str(ledger))
+        mp.setattr(pool, "merge_function_traces", counting_merge)
+        outcomes = verify_files(sorted(casestudies_dir().glob("*.c")),
+                                trace=True)
+    (record,) = read_ledger(ledger).records
+    return outcomes, buffers, record
+
+
+def test_traced_ledger_run_walks_each_trace_once(ledgered_suite):
+    """The metrics ``trace`` block and the ledger's rule costs come from
+    the one profile the driver builds: every buffer is walked once."""
+    outcomes, buffers, record = ledgered_suite
+    assert len(outcomes) == 14 and all(o.ok for o in outcomes.values())
+    assert len(buffers) == sum(len(o.trace.buffers)
+                               for o in outcomes.values())
+    assert [b.walks for b in buffers] == [1] * len(buffers)
+    assert record["rules"]["entries"]
+
+
+def test_ledger_rules_roll_up_to_metrics_rule_counts(ledgered_suite):
+    """The ledger's dispatch-key entries summed by rule name are the
+    metrics ``trace`` block's per-rule counts."""
+    outcomes, _buffers, record = ledgered_suite
+    rolled: dict[str, int] = {}
+    for key, entry in RuleCostMap.from_dict(record["rules"]).rules().items():
+        name = key.rpartition(":")[2]
+        rolled[name] = rolled.get(name, 0) + entry.count
+    metrics: dict[str, int] = {}
+    for out in outcomes.values():
+        for name, row in out.metrics.trace["rules"].items():
+            metrics[name] = metrics.get(name, 0) + row["count"]
+    assert rolled == metrics

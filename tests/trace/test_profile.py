@@ -37,7 +37,7 @@ class TestBuildProfile:
         check = prof.spans[("check", "f")]
         assert check.total_s == 10.0
         assert check.self_s == 10.0 - 6.0 - 2.0
-        rule_a = prof.spans[("rule", "A")]
+        rule_a = prof.rules()["A"]
         assert rule_a.total_s == 6.0
         assert rule_a.self_s == 6.0 - 4.0
 
@@ -46,6 +46,32 @@ class TestBuildProfile:
         assert set(rules) == {"A", "B"}
         assert rules["A"].count == 1
 
+    def test_rules_are_sums_over_dispatch_keys(self):
+        """One rule applied at two dispatch keys: two ``rule:`` cost
+        entries, one per-name row that sums them."""
+        events = [
+            span(0, "check", "f", 0, ts=0.0, dur=4.0),
+            span(1, "rule", "A", 1, ts=0.0, dur=1.0, key="J:int"),
+            span(2, "rule", "A", 1, ts=1.0, dur=2.0, key="J:ptr"),
+            span(3, "rule", "A", 1, ts=3.0, dur=0.5, key="J:int"),
+        ]
+        prof = build_profile(UnitTrace("u", [FunctionTrace("u", "f",
+                                                           events)]))
+        assert {k: (e.count, e.total_s, e.max_s)
+                for k, e in prof.costs.items()} \
+            == {"rule:J:int:A": (2, 1.5, 1.0), "rule:J:ptr:A": (1, 2.0, 2.0)}
+        row = prof.rules()["A"]
+        assert (row.count, row.total_s, row.max_s) == (3, 3.5, 2.0)
+        # Rule spans are filed by dispatch key only; other spans by name.
+        assert set(prof.spans) == {("check", "f")}
+
+    def test_solver_spans_keyed_by_outcome_and_tactic(self):
+        prof = build_profile(synthetic_trace())
+        assert set(prof.costs) == {"rule:J:A", "rule:J:B",
+                                   "solver:proved:default",
+                                   "solver:failed:default"}
+        assert prof.spans[("solver", "prove")].count == 2
+
     def test_instants_counted(self):
         prof = build_profile(synthetic_trace())
         assert prof.instants[("memo", "miss")] == 1
@@ -53,15 +79,17 @@ class TestBuildProfile:
 
     def test_slowest_prove_ranked_and_labelled(self):
         prof = build_profile(synthetic_trace())
-        assert [c.dur_s for c in prof.slowest_prove] == [4.0, 1.0]
-        top = prof.slowest_prove[0]
+        assert [c.dur_s for c in prof.slowest_prove(10)] == [4.0, 1.0]
+        top = prof.slowest_prove(10)[0]
         assert top.function == "f"
         assert top.goal == "le(0, n)"
         assert top.outcome == "proved"
 
     def test_top_n_caps_slow_list(self):
-        prof = build_profile(synthetic_trace(), top_n=1)
-        assert len(prof.slowest_prove) == 1
+        prof = build_profile(synthetic_trace())
+        assert len(prof.slowest_prove(1)) == 1
+        assert len(trace_summary(prof, top_n=1)["slowest_prove"]) == 1
+        assert "top 1 slowest" in render_profile(prof, top_n=1)
 
     def test_unclosed_span_counts_as_zero_duration(self):
         events = [span(0, "check", "f", 0, ts=0.0, dur=None)]
@@ -87,7 +115,7 @@ class TestRenderProfile:
 
 class TestTraceSummary:
     def test_block_shape(self):
-        block = trace_summary(synthetic_trace())
+        block = trace_summary(build_profile(synthetic_trace()))
         assert block["events"] == 7
         assert block["dropped"] == 0
         assert block["rules"]["A"] == {"count": 1, "total_s": 6.0,
@@ -100,4 +128,4 @@ class TestTraceSummary:
 
     def test_json_compatible(self):
         import json
-        json.dumps(trace_summary(synthetic_trace()))
+        json.dumps(trace_summary(build_profile(synthetic_trace())))
